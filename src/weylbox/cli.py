@@ -17,7 +17,8 @@ from . import __version__
 from .acceptance import CRITERIA, format_result, run_criterion
 from .config import Budgets, DEFAULT
 from .kronecker import det_stabilizer_invariant_mult, g_stretch, kronecker
-from .lr import LRQuery, _skew_lr_count, hive_polytope, lr_positive, lr_stretch
+from .lr import (LRQuery, OracleMismatchError, _skew_lr_count, lr_coefficient,
+                 lr_positive, lr_stretch)
 from .obstructions import (basic_invariant_poly, emit_obstruction_family,
                            enumerate_magic_squares,
                            magic_orbit_representatives, read_certificates,
@@ -160,12 +161,9 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets) -> dict:
         if args.lr_command in ("coeff", "positive", "stretch"):
             q = LRQuery(args.alpha, args.beta, args.lam)
         if args.lr_command == "coeff":
-            if not q.sizes_match():
-                return {"tableau": 0, "hive": 0, "agree": True}
-            tableau = _skew_lr_count(q.alpha, q.beta, q.lam)
-            hive = count_integer_points(
-                hive_polytope(q, side_cap=budgets.hive_side_cap))
-            return {"tableau": tableau, "hive": hive, "agree": tableau == hive}
+            # lr_coefficient raises OracleMismatchError unless both routes agree
+            value = lr_coefficient(q, side_cap=budgets.hive_side_cap)
+            return {"tableau": value, "hive": value, "agree": True}
         if args.lr_command == "positive":
             return {"positive": lr_positive(q, side_cap=budgets.hive_side_cap)}
         series = lr_stretch(q, args.K, max_period=args.max_period,
@@ -175,11 +173,14 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets) -> dict:
         for k in range(1, args.K + 1):
             qk = q.scale(k)
             tableau_values.append(_skew_lr_count(qk.alpha, qk.beta, qk.lam))
-        payload = {"hive_values": list(series.values),
-                   "tableau_values": tableau_values,
-                   "agree": list(series.values) == tableau_values,
-                   "fit": series.fit.to_json() if series.fit else None}
-        return payload
+        if list(series.values) != tableau_values:
+            raise OracleMismatchError(
+                f"oracle mismatch for {q}: tableau rule {tableau_values}, "
+                f"hive count {list(series.values)}")
+        return {"hive_values": list(series.values),
+                "tableau_values": tableau_values,
+                "agree": True,
+                "fit": series.fit.to_json() if series.fit else None}
 
     if cmd == "symfunc":
         if args.sf_command == "product":
@@ -313,9 +314,9 @@ def run(argv: list[str]) -> int:
         argv.insert(1, "coeff")
     parser = build_parser()
     args = parser.parse_args(argv)
-    budgets = Budgets.from_json(args.config) if args.config else DEFAULT
     started = time.perf_counter()
     try:
+        budgets = Budgets.from_json(args.config) if args.config else DEFAULT
         payload = _dispatch(args, budgets)
         ok = True
         if args.command == "accept" and not payload["all_passed"]:

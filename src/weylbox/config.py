@@ -30,10 +30,16 @@ class Budgets:
     def from_json(cls, path: str) -> "Budgets":
         with open(path) as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError("budget config must be a JSON object")
         known = {f.name for f in fields(cls)}
         unknown = set(raw) - known
         if unknown:
             raise ValueError(f"unknown budget keys: {sorted(unknown)}")
+        for key, value in sorted(raw.items()):
+            if type(value) is not int or value < 1:
+                raise ValueError(
+                    f"budget {key} must be an integer >= 1, got {value!r}")
         return replace(cls(), **raw)
 
 

@@ -2,17 +2,19 @@
 
 Route one is the classical rule: count skew semistandard tableaux of shape
 lam/alpha and content beta whose reverse reading word is a lattice word.
-Route two is polyhedral: count integer points of the hive polytope, a
-triangular array with rhombus concavity inequalities whose boundary is pinned
-to the partial sums of alpha, beta and lam. The public coefficient routine
-runs both and refuses to answer when they disagree; positivity is decided by
-exact LP feasibility of the hive without any enumeration.
+Route two is polyhedral: count integer points of the hive polytope. A hive is
+a triangular array with rhombus concavity inequalities whose boundary is the
+partial sums of alpha, beta and lam; since that boundary is known, the
+polytope is built over the interior vertices alone, with the boundary
+substituted into integer right-hand sides. The public coefficient routine
+runs both routes and refuses to answer when they disagree; positivity is
+decided by exact LP feasibility of the hive without any enumeration
+(saturation: Knutson-Tao 1999, Buch 2000).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .config import DEFAULT, BudgetError
 from .partitions import Partition
@@ -49,21 +51,23 @@ class StretchSeries:
     fit: QuasiPolynomial | None
 
 
-def _hive_vertices(side: int) -> list[tuple[int, int, int]]:
-    return [(i, j, side - i - j) for i in range(side + 1)
-            for j in range(side - i + 1)]
-
-
 def hive_polytope(q: LRQuery, side: int | None = None,
                   side_cap: int | None = None) -> Polytope:
-    """The hive model for c^lam_{alpha,beta}.
+    """The hive model for c^lam_{alpha,beta}, in interior coordinates.
 
-    Variables are the entries of a triangular array of side n indexed by
-    (i, j, k) with i+j+k = n. Rows are the three families of rhombus
-    inequalities plus paired <=/>= rows pinning the boundary: the j-edge
-    carries the partial sums of alpha, the k-edge continues with beta, and
-    the i-edge carries the partial sums of lam. Integer points then biject
-    with Littlewood-Richardson fillings.
+    A hive of side n is a triangular array indexed by (i, j, k) with
+    i+j+k = n, subject to the three families of rhombus concavity
+    inequalities. The query fixes the boundary: the j-edge carries the
+    partial sums of alpha, the k-edge continues with beta, and the i-edge
+    carries the partial sums of lam. The variables are therefore only the
+    (n-1)(n-2)/2 interior vertices (i, j, k >= 1), in lexicographic order,
+    and each rhombus row moves its boundary terms into its right-hand side
+    as an integer constant. Rows with the same interior part are merged into
+    the tightest one. A row with no interior part is dropped when its
+    constant is nonnegative and kept as 0 <= constant otherwise, which makes
+    the polytope empty. Integer points biject with Littlewood-Richardson
+    fillings, and the k-scaled query gives the same matrix with every
+    constant times k.
     """
     if side_cap is None:
         side_cap = DEFAULT.hive_side_cap
@@ -78,32 +82,6 @@ def hive_polytope(q: LRQuery, side: int | None = None,
         n = side
     if n > side_cap:
         raise BudgetError(f"hive side {n} exceeds cap {side_cap}")
-
-    verts = _hive_vertices(n)
-    index = {v: t for t, v in enumerate(verts)}
-    T = len(verts)
-    Z = Fraction(0)
-
-    rows: list[tuple[Fraction, ...]] = []
-    rhs: list[Fraction] = []
-
-    def add_row(entries: dict[tuple[int, int, int], int], bound: Fraction):
-        row = [Z] * T
-        for v, coeff in entries.items():
-            row[index[v]] += Fraction(coeff)
-        rows.append(tuple(row))
-        rhs.append(bound)
-
-    # rhombus concavity, three orientations per inner lattice triangle
-    for i in range(n - 1):
-        for j in range(n - 1 - i):
-            k = n - 2 - i - j
-            add_row({(i, j + 2, k): 1, (i + 1, j, k + 1): 1,
-                     (i + 1, j + 1, k): -1, (i, j + 1, k + 1): -1}, Z)
-            add_row({(i + 2, j, k): 1, (i, j + 1, k + 1): 1,
-                     (i + 1, j + 1, k): -1, (i + 1, j, k + 1): -1}, Z)
-            add_row({(i, j, k + 2): 1, (i + 1, j + 1, k): 1,
-                     (i + 1, j, k + 1): -1, (i, j + 1, k + 1): -1}, Z)
 
     alpha = q.alpha.padded(n)
     beta = q.beta.padded(n)
@@ -123,12 +101,37 @@ def hive_polytope(q: LRQuery, side: int | None = None,
         s += lam[i - 1]
         boundary[(i, 0, n - i)] = s  # partial sums of lam; corner agrees
 
-    for v, value in sorted(boundary.items()):
-        bound = Fraction(value)
-        add_row({v: 1}, bound)
-        add_row({v: -1}, -bound)
+    interior = [(i, j, n - i - j) for i in range(1, n - 1)
+                for j in range(1, n - i)]
+    index = {v: t for t, v in enumerate(interior)}
+    T = len(interior)
+    tight: dict[tuple[int, ...], int] = {}
 
-    return Polytope(tuple(rows), tuple(rhs))
+    def add_row(*terms: tuple[tuple[int, int, int], int]):
+        row = [0] * T
+        bound = 0
+        for v, coeff in terms:
+            t = index.get(v)
+            if t is None:
+                bound -= coeff * boundary[v]
+            else:
+                row[t] = coeff
+        key = tuple(row)
+        if any(key) or bound < 0:
+            tight[key] = min(bound, tight.get(key, bound))
+
+    # rhombus concavity, three orientations per inner lattice triangle
+    for i in range(n - 1):
+        for j in range(n - 1 - i):
+            k = n - 2 - i - j
+            add_row(((i, j + 2, k), 1), ((i + 1, j, k + 1), 1),
+                    ((i + 1, j + 1, k), -1), ((i, j + 1, k + 1), -1))
+            add_row(((i + 2, j, k), 1), ((i, j + 1, k + 1), 1),
+                    ((i + 1, j + 1, k), -1), ((i + 1, j, k + 1), -1))
+            add_row(((i, j, k + 2), 1), ((i + 1, j + 1, k), 1),
+                    ((i + 1, j, k + 1), -1), ((i, j + 1, k + 1), -1))
+
+    return Polytope(tuple(tight), tuple(tight.values()))
 
 
 def _skew_lr_count(alpha: Partition, beta: Partition, lam: Partition) -> int:

@@ -455,6 +455,8 @@ def count_integer_points(P: Polytope) -> int:
     Q = red.poly
     nfree = len(red.free)
     if nfree == 0:
+        if any(rhs < 0 for rhs in Q.b):
+            return 0  # a surviving row reads 0 <= negative
         point = red.lift(())
         if all(v.denominator == 1 for v in point):
             return 1

@@ -26,6 +26,19 @@ class TestLR:
         code, out = invoke(capsys, "lr", "positive", "2", "2", "2,1,1")
         assert code == 0 and out["payload"] == {"positive": False}
 
+    def test_coeff_mismatch_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setattr("weylbox.lr._skew_lr_count", lambda *args: 99)
+        code, out = invoke(capsys, "lr", "coeff", "2,1", "2,1", "3,2,1")
+        assert code == 1
+        assert out["payload"]["error"]["type"] == "OracleMismatchError"
+
+    def test_stretch_mismatch_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setattr("weylbox.cli._skew_lr_count", lambda *args: 99)
+        code, out = invoke(capsys, "lr", "stretch", "2,1", "2,1", "3,2,1",
+                           "--k", "4")
+        assert code == 1
+        assert out["payload"]["error"]["type"] == "OracleMismatchError"
+
     def test_stretch(self, capsys):
         code, out = invoke(capsys, "lr", "stretch", "2,1", "2,1", "3,2,1",
                            "--k", "5")
@@ -160,3 +173,19 @@ class TestTopLevel:
                            "symfunc", "plethysm", "2", "2")
         assert code == 1
         assert "cap" in out["payload"]["error"]["message"]
+
+    @pytest.mark.parametrize("value", ["12", 0, -3, True, 2.5])
+    def test_config_bad_value_refused(self, capsys, tmp_path, value):
+        path = tmp_path / "budgets.json"
+        path.write_text(json.dumps({"hive_side_cap": value}))
+        code, out = invoke(capsys, "--config", str(path),
+                           "lr", "positive", "1", "1", "2")
+        assert code == 1
+        assert out["payload"]["error"]["type"] == "ValueError"
+        assert "hive_side_cap" in out["payload"]["error"]["message"]
+
+    def test_config_missing_file_refused(self, capsys, tmp_path):
+        code, out = invoke(capsys, "--config", str(tmp_path / "absent.json"),
+                           "lr", "positive", "1", "1", "2")
+        assert code == 1
+        assert out["payload"]["error"]["type"] == "FileNotFoundError"

@@ -1,5 +1,6 @@
 import pytest
 from fractions import Fraction as F
+from hypothesis import given, settings, strategies as st
 
 from weylbox.lr import (LRQuery, hive_polytope, lr_coefficient,
                         lr_positive, lr_stretch, _skew_lr_count)
@@ -54,6 +55,10 @@ class TestCoefficient:
         assert lr_coefficient(q((2, 2), (1,), (3, 1, 1))) == 0
         assert lr_coefficient(q((1, 1, 1), (1,), (4,))) == 0
 
+    def test_side_two_zero(self):
+        # a side-2 hive has no interior vertex: only its constant rows decide
+        assert lr_coefficient(q((3, 2), (4, 1), (9, 1))) == 0
+
     def test_size_mismatch_is_zero(self):
         assert lr_coefficient(q((1,), (1,), (3,))) == 0
 
@@ -70,6 +75,34 @@ class TestCoefficient:
                 for lam in partitions_of(a.size + b.size, max_length=3):
                     assert lr_coefficient(LRQuery(a, b, lam)) == \
                         prod.get(lam, 0), (a, b, lam)
+
+
+partition_up_to_6 = st.integers(0, 6).flatmap(
+    lambda n: st.sampled_from(list(partitions_of(n, max_length=5)) or [P()]))
+
+
+@st.composite
+def lr_queries(draw):
+    a = draw(partition_up_to_6)
+    b = draw(partition_up_to_6)
+    # the dominant weight alpha + beta always has coefficient 1
+    dominant = P(tuple(x + y for x, y in zip(a.padded(5), b.padded(5))))
+    lam = draw(st.one_of(st.just(dominant), st.sampled_from(
+        list(partitions_of(a.size + b.size, max_length=5)) or [P()])))
+    return LRQuery(a, b, lam)
+
+
+class TestRandomQueries:
+    @given(lr_queries())
+    @settings(max_examples=60, deadline=None)
+    def test_routes_agree(self, query):
+        value = lr_coefficient(query)  # raises OracleMismatchError otherwise
+        assert lr_positive(query) == (value > 0)
+        hive = hive_polytope(query)
+        n = max(len(query.alpha), len(query.beta), len(query.lam), 1)
+        assert hive.dim == (n - 1) * (n - 2) // 2
+        assert all(x.denominator == 1 for row in hive.A for x in row)
+        assert all(x.denominator == 1 for x in hive.b)
 
 
 class TestPositive:

@@ -69,6 +69,13 @@ class TestCount:
         assert count_integer_points(
             Polytope(((F(1),), (F(-1),)), (F(-1), F(0)))) == 0
 
+    def test_zero_dimensional_rows(self):
+        # with no variables left, a row reads 0 <= rhs
+        assert count_integer_points(Polytope(((),), (F(0),))) == 1
+        empty = Polytope(((),), (F(-1),))
+        assert not feasible(empty)
+        assert count_integer_points(empty) == 0
+
     def test_fractional_point(self):
         P = Polytope(((F(1),), (F(-1),)), (F(1, 3), F(-1, 3)))
         assert count_integer_points(P) == 0
