@@ -346,7 +346,9 @@ def verify_obstruction(cert: ObstructionCertificate,
     """Structural verification always: gamma must be even (occurrence on the
     permanent side) and nonempty (no invariant on the trace side, where the
     first factor is trivial). With full=True and n <= 3 the invariant
-    multiplicity is computed explicitly and must be positive."""
+    multiplicity is computed explicitly and must be positive. The returned
+    invariant_dim is the one computed here, else None: a value read with the
+    certificate is never passed through unchecked."""
     if cert.gamma.size != 2 * cert.n:
         raise ObstructionError(
             f"|gamma| = {cert.gamma.size} must equal 2n = {2 * cert.n}")
@@ -354,7 +356,7 @@ def verify_obstruction(cert: ObstructionCertificate,
         raise ObstructionError(f"not an obstruction: {cert.gamma} is not even")
     if not cert.gamma:
         raise ObstructionError("not an obstruction: empty gamma")
-    inv_dim = cert.checks.invariant_dim
+    inv_dim = None
     if full and cert.n <= 3:
         inv_dim = perm_stabilizer_invariants(cert.gamma, cert.n)
         if inv_dim < 1:

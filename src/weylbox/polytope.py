@@ -1,9 +1,13 @@
 """Exact-rational polyhedra: feasibility, vertices, integer-point counts,
 and quasi-polynomial fitting of parametrized counting sequences.
 
-Everything runs over ``fractions.Fraction``; there is no floating point in
-this module. Linear programs are solved by an exact-pivot simplex with
-Bland's rule, so feasibility and optimality answers are exact.
+There is no floating point in this module. ``fractions.Fraction`` is the
+boundary type: inputs, ``Polytope`` and ``QuasiPolynomial`` data and returned
+values. The three inner loops run on Python integers instead: linear
+programs go through a fraction-free (integer-pivoting) simplex with Bland's
+rule, integer points are counted by a DFS over integer-scaled rows, and each
+residue class of a quasi-polynomial fit is interpolated over one common
+denominator. Feasibility, optimality and counting answers are exact.
 """
 
 from __future__ import annotations
@@ -35,10 +39,6 @@ class FitError(ValueError):
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text)
 
 
 def format_rational(x: Fraction) -> str:
@@ -82,8 +82,8 @@ class Polytope:
 
     @classmethod
     def from_json(cls, data: dict) -> "Polytope":
-        return cls(tuple(tuple(parse_rational(x) for x in row) for row in data["A"]),
-                   tuple(parse_rational(x) for x in data["b"]))
+        return cls(tuple(tuple(Fraction(x) for x in row) for row in data["A"]),
+                   tuple(Fraction(x) for x in data["b"]))
 
 
 @dataclass(frozen=True)
@@ -118,10 +118,10 @@ class ParamPolytope:
 
     @classmethod
     def from_json(cls, data: dict) -> "ParamPolytope":
-        A = tuple(tuple(parse_rational(x) for x in row) for row in data["A"])
-        b = tuple(parse_rational(x) for x in data["b"])
+        A = tuple(tuple(Fraction(x) for x in row) for row in data["A"])
+        b = tuple(Fraction(x) for x in data["b"])
         if "c" in data:
-            c = tuple(parse_rational(x) for x in data["c"])
+            c = tuple(Fraction(x) for x in data["c"])
         else:
             c = tuple(Fraction(0) for _ in b)
         return cls(A, b, c)
@@ -131,126 +131,127 @@ class ParamPolytope:
 # exact simplex
 # ---------------------------------------------------------------------------
 
-def _simplex(A, b, c):
+def _int_row(row, rhs) -> list[int]:
+    """The row with its rhs appended, scaled to integers by the lcm of their
+    denominators (a positive factor, so the constraint is unchanged)."""
+    L = lcm(rhs.denominator, *(a.denominator for a in row))
+    return [a.numerator * (L // a.denominator) for a in row] + \
+        [rhs.numerator * (L // rhs.denominator)]
+
+
+def _simplex(A, b, c) -> tuple[str, Fraction | None]:
     """min c.x subject to Ax <= b with x free.
 
-    Returns (status, x, value) where status is "optimal", "infeasible" or
-    "unbounded". Free variables are split x = u - v; Bland's rule makes every
+    Returns (status, value): status is "optimal", "infeasible" or
+    "unbounded", and value is the exact optimum when status is "optimal",
+    else None. Free variables are split x = u - v; Bland's rule makes every
     pivot choice deterministic and precludes cycling.
+
+    The tableau is fraction-free (Edmonds 1967; Bareiss 1968): every row is
+    scaled to integers and the true tableau is T / D for one common
+    denominator D > 0. A pivot on p = T[r][j] maps each other row to
+    (p*T[i] - T[i][j]*T[r]) // D and sets D = p; by Sylvester's identity the
+    division is exact, since every entry is a minor of the initial integer
+    tableau. The objective row rides along as one more such row.
     """
     m = len(A)
-    n = len(A[0]) if m else len(c)
-    Z = Fraction(0)
-
-    # columns: u_0..u_{n-1}, v_0..v_{n-1}, slacks s_0..s_{m-1}, artificials
-    rows = []
-    rhs = []
-    art_rows = []
-    for i in range(m):
-        coeffs = [_frac(x) for x in A[i]]
-        r = coeffs + [-x for x in coeffs] + [Z] * m
-        bi = _frac(b[i])
-        if bi < 0:
-            r = [-x for x in r]
-            bi = -bi
-            r[2 * n + i] = Fraction(-1)
-            art_rows.append(i)
-        else:
-            r[2 * n + i] = Fraction(1)
-        rows.append(r)
-        rhs.append(bi)
-
+    n = len(c)
+    # columns: u_0..u_{n-1}, v_0..v_{n-1}, slacks s_0..s_{m-1},
+    # artificials, then the rhs
+    scaled = [_int_row(row, rhs) for row, rhs in zip(A, b)]
+    art_rows = [i for i in range(m) if scaled[i][n] < 0]
     ncols = 2 * n + m + len(art_rows)
-    for r in rows:
-        r.extend([Z] * len(art_rows))
+    rows = []
+    basis = []
+    for i, coeffs in enumerate(scaled):
+        r = coeffs[:n] + [-x for x in coeffs[:n]] + [0] * (ncols - 2 * n)
+        r.append(coeffs[n])
+        r[2 * n + i] = 1
+        if coeffs[n] < 0:
+            r = [-x for x in r]
+        rows.append(r)
+        basis.append(2 * n + i)
     for idx, i in enumerate(art_rows):
-        rows[i][2 * n + m + idx] = Fraction(1)
-    art_of_row = {i: 2 * n + m + idx for idx, i in enumerate(art_rows)}
-    basis = [art_of_row.get(i, 2 * n + i) for i in range(m)]
+        rows[i][2 * n + m + idx] = 1
+        basis[i] = 2 * n + m + idx
+    D = 1
+    z: list[int] = []
 
-    def pivot(rowi, colj):
-        piv = rows[rowi][colj]
-        inv = Fraction(1) / piv
-        rows[rowi] = [x * inv for x in rows[rowi]]
-        rhs[rowi] *= inv
-        prow = rows[rowi]
-        pr = rhs[rowi]
+    def set_objective(obj):
+        # z = D * (reduced costs), with -D * (objective value) in the rhs slot
+        nonlocal z
+        z = [D * x for x in obj] + [0]
         for i in range(m):
-            if i == rowi:
-                continue
-            f = rows[i][colj]
-            if f:
-                rows[i] = [x - f * y for x, y in zip(rows[i], prow)]
-                rhs[i] -= f * pr
-        basis[rowi] = colj
+            cb = obj[basis[i]]
+            if cb:
+                z = [x - cb * y for x, y in zip(z, rows[i])]
 
-    def run_phase(obj, limit_cols):
-        # Bland's rule; reduced costs recomputed each iteration (exact, and
-        # cheap at the sizes this toolkit meets)
+    def pivot(r, j):
+        nonlocal D, z
+        prow = rows[r]
+        p = prow[j]
+        for i in range(m):
+            if i == r:
+                continue
+            f = rows[i][j]
+            if f:
+                rows[i] = [(p * x - f * y) // D for x, y in zip(rows[i], prow)]
+            elif p != D:
+                rows[i] = [p * x // D for x in rows[i]]
+        f = z[j]
+        z = [(p * x - f * y) // D for x, y in zip(z, prow)]
+        D = p
+        basis[r] = j
+        if D < 0:
+            D = -D
+            z = [-x for x in z]
+            for i in range(m):
+                rows[i] = [-x for x in rows[i]]
+
+    def run_phase(limit_cols):
         while True:
-            duals_cost = [obj[basis[i]] for i in range(m)]
-            entering = -1
-            for j in range(limit_cols):
-                red = obj[j] - sum(duals_cost[i] * rows[i][j] for i in range(m))
-                if red < 0:
-                    entering = j
-                    break
+            entering = next((j for j in range(limit_cols) if z[j] < 0), -1)
             if entering < 0:
                 return "optimal"
             leaving = -1
-            best = None
             for i in range(m):
                 a = rows[i][entering]
                 if a > 0:
-                    ratio = rhs[i] / a
-                    if best is None or ratio < best or (
-                            ratio == best and basis[i] < basis[leaving]):
-                        best = ratio
+                    if leaving < 0:
+                        leaving = i
+                        continue
+                    # compare rhs_i / a with the best ratio by cross-multiplying
+                    lhs = rows[i][-1] * rows[leaving][entering]
+                    rhs = rows[leaving][-1] * a
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
                         leaving = i
             if leaving < 0:
                 return "unbounded"
             pivot(leaving, entering)
 
     if art_rows:
-        obj1 = [Z] * ncols
-        for idx in range(len(art_rows)):
-            obj1[2 * n + m + idx] = Fraction(1)
-        status = run_phase(obj1, ncols)
-        assert status == "optimal"  # phase 1 is always bounded below by 0
-        value1 = sum(obj1[basis[i]] * rhs[i] for i in range(m))
-        if value1 != 0:
-            return "infeasible", None, None
+        set_objective([0] * (2 * n + m) + [1] * len(art_rows))
+        run_phase(ncols)  # phase 1 is always bounded below by 0
+        if z[-1] != 0:
+            return "infeasible", None
         # drive any artificial still in the basis out (or drop its row)
         for i in range(m):
             if basis[i] >= 2 * n + m:
-                replaced = False
-                for j in range(2 * n + m):
-                    if rows[i][j] != 0:
-                        pivot(i, j)
-                        replaced = True
-                        break
-                if not replaced:
+                j = next((j for j in range(2 * n + m) if rows[i][j]), -1)
+                if j >= 0:
+                    pivot(i, j)
+                else:
                     # redundant row: zero it so it never constrains again
-                    rows[i] = [Z] * ncols
-                    rhs[i] = Z
+                    rows[i] = [0] * (ncols + 1)
 
-    obj2 = [Z] * ncols
-    for j in range(n):
-        cj = _frac(c[j])
-        obj2[j] = cj
-        obj2[n + j] = -cj
-    status = run_phase(obj2, 2 * n + m)  # artificials may not re-enter
-    if status == "unbounded":
-        return "unbounded", None, None
-    x = [Z] * n
-    for i in range(m):
-        bj = basis[i]
-        if bj < n:
-            x[bj] += rhs[i]
-        elif bj < 2 * n:
-            x[bj - n] -= rhs[i]
-    value = sum(_frac(c[j]) * x[j] for j in range(n))
-    return "optimal", tuple(x), value
+    cden = lcm(*(x.denominator for x in c)) if c else 1
+    cost = [x.numerator * (cden // x.denominator) for x in c]
+    if not any(cost):
+        return "optimal", Fraction(0)
+    set_objective(cost + [-x for x in cost] + [0] * (ncols - 2 * n))
+    if run_phase(2 * n + m) == "unbounded":  # artificials may not re-enter
+        return "unbounded", None
+    return "optimal", Fraction(-z[-1], D * cden)
 
 
 def feasible(P: Polytope) -> bool:
@@ -267,12 +268,8 @@ def feasible(P: Polytope) -> bool:
     Q = red.poly
     if not Q.A:
         return True
-    status, _, _ = _simplex(Q.A, Q.b, [Fraction(0)] * Q.dim)
+    status, _ = _simplex(Q.A, Q.b, [0] * Q.dim)
     return status != "infeasible"
-
-
-def _minimize(P: Polytope, cost) -> tuple[str, tuple[Fraction, ...] | None, Fraction | None]:
-    return _simplex(P.A, P.b, cost)
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +301,9 @@ def _split_equalities(P: Polytope):
 class _Reduced:
     """Result of eliminating paired equalities from a polytope.
 
-    ``free`` lists the surviving coordinates; ``lift`` maps a free-coordinate
-    point back to the original space. ``infeasible`` is set when the equality
-    system itself is contradictory.
+    ``free`` lists the surviving coordinates; ``integral`` tells whether a
+    free-coordinate point lifts to an integer point of the original space.
+    ``infeasible`` is set when the equality system itself is contradictory.
     """
 
     def __init__(self, P: Polytope):
@@ -366,31 +363,29 @@ class _Reduced:
                 self.infeasible = True
         self.poly = Polytope(tuple(new_rows), tuple(new_rhs))
 
-    def lift(self, free_point) -> tuple[Fraction, ...]:
-        full = [Fraction(0)] * self._n
-        for c, v in zip(self.free, free_point):
-            full[c] = _frac(v)
-        for row, pc in zip(self._rows, self._pivots):
-            piv = Fraction(row[pc])
-            val = Fraction(row[self._n])
-            for fc, v in zip(self.free, free_point):
-                val -= row[fc] * _frac(v)
-            full[pc] = val / piv
-        return tuple(full)
+    def integral(self, free_point) -> bool:
+        """Whether the lift of an integer free-coordinate point is integral.
+
+        Each echelon row is an integer row with pivot p in a pinned column,
+        so that coordinate is (row[n] - sum row[fc] * x_fc) / p.
+        """
+        n = self._n
+        return all((row[n] - sum(row[fc] * v for fc, v in zip(self.free, free_point)))
+                   % row[pc] == 0
+                   for row, pc in zip(self._rows, self._pivots))
 
 
 def _coordinate_bounds(P: Polytope, i: int) -> tuple[Fraction, Fraction]:
     """Exact (min, max) of x_i over P; raises on unbounded or infeasible."""
-    n = P.dim
-    cost = [Fraction(0)] * n
-    cost[i] = Fraction(1)
-    status, _, lo = _minimize(P, cost)
+    cost = [0] * P.dim
+    cost[i] = 1
+    status, lo = _simplex(P.A, P.b, cost)
     if status == "infeasible":
         raise InfeasibleError("empty polytope")
     if status == "unbounded":
         raise UnboundedPolytopeError("unbounded polytope")
-    cost[i] = Fraction(-1)
-    status, _, neghi = _minimize(P, cost)
+    cost[i] = -1
+    status, neghi = _simplex(P.A, P.b, cost)
     if status == "unbounded":
         raise UnboundedPolytopeError("unbounded polytope")
     return lo, -neghi
@@ -448,7 +443,11 @@ def _propagated_box(A, b, nvars: int, rounds: int | None = None):
 def count_integer_points(P: Polytope) -> int:
     """Exact |P ∩ Z^n| for a bounded P, by bounding box plus DFS with
     constraint propagation. Raises UnboundedPolytopeError when some
-    coordinate has no finite range."""
+    coordinate has no finite range.
+
+    The DFS runs on integers: every row is scaled to integers, the box
+    shrinks to (ceil lo, floor hi), and the bound a row puts on a coordinate
+    is a floor division, exact because the coordinate is integral."""
     red = _Reduced(P)
     if red.infeasible:
         return 0
@@ -457,10 +456,7 @@ def count_integer_points(P: Polytope) -> int:
     if nfree == 0:
         if any(rhs < 0 for rhs in Q.b):
             return 0  # a surviving row reads 0 <= negative
-        point = red.lift(())
-        if all(v.denominator == 1 for v in point):
-            return 1
-        return 0
+        return int(red.integral(()))
     status, boxes = _propagated_box(Q.A, Q.b, nfree)
     if status == "empty":
         return 0
@@ -471,49 +467,66 @@ def count_integer_points(P: Polytope) -> int:
         boxes = [(lo, hi) if lo is not None and hi is not None
                  else _coordinate_bounds(Q, i)
                  for i, (lo, hi) in enumerate(boxes)]
-        if any(lo > hi for lo, hi in boxes):
-            return 0
+    box = [(ceil(lo), floor(hi)) for lo, hi in boxes]
+    if any(lo > hi for lo, hi in box):
+        return 0
 
-    A = [list(row) for row in Q.A]
-    b = list(Q.b)
+    A, b = [], []
+    for row, rhs in zip(Q.A, Q.b):
+        *coeffs, bound = _int_row(row, rhs)
+        if any(coeffs):
+            A.append(coeffs)
+            b.append(bound)
+        elif bound < 0:
+            return 0  # an all-zero row reads 0 <= negative
     m = len(A)
     # tail_min[r][d] = minimum of sum_{j >= d} A[r][j] * x_j over the box
-    tail_min = [[Fraction(0)] * (nfree + 1) for _ in range(m)]
+    tail_min = [[0] * (nfree + 1) for _ in range(m)]
     for r in range(m):
         for d in range(nfree - 1, -1, -1):
             a = A[r][d]
-            tail_min[r][d] = tail_min[r][d + 1] + min(a * boxes[d][0], a * boxes[d][1])
-    partial = [Fraction(0)] * m
+            tail_min[r][d] = tail_min[r][d + 1] + min(a * box[d][0], a * box[d][1])
+    # per depth, the rows that constrain that coordinate: (row, coeff, tail)
+    at_depth = [[(r, A[r][d], tail_min[r][d + 1]) for r in range(m) if A[r][d]]
+                for d in range(nfree)]
+    partial = [0] * m
     point = [0] * nfree
+    last = nfree - 1
+    pinned = bool(red._pivots)
     count = 0
 
+    # The slack bound at a row's last nonzero column is exact (its tail is
+    # empty), so every row holds at every point the DFS reaches: with no
+    # pinned coordinate the last one is counted in closed form.
     def dfs(d: int):
         nonlocal count
-        if d == nfree:
-            # propagation is a relaxation; check the system exactly at leaves
-            if all(partial[r] <= b[r] for r in range(m)):
-                lifted = red.lift(point)
-                if all(v.denominator == 1 for v in lifted):
+        lo, hi = box[d]
+        for r, a, tail in at_depth[d]:
+            slack = b[r] - partial[r] - tail
+            if a > 0:
+                hi = min(hi, slack // a)
+            else:
+                lo = max(lo, -(slack // -a))
+        if lo > hi:
+            return
+        if d == last:
+            if not pinned:
+                count += hi - lo + 1
+                return
+            for v in range(lo, hi + 1):
+                point[d] = v
+                if red.integral(point):
                     count += 1
             return
-        lo, hi = boxes[d]
-        lo_i, hi_i = ceil(lo), floor(hi)
-        for r in range(m):
-            a = A[r][d]
-            if a == 0:
-                continue
-            slack = b[r] - partial[r] - tail_min[r][d + 1]
-            if a > 0:
-                hi_i = min(hi_i, floor(slack / a))
-            else:
-                lo_i = max(lo_i, ceil(slack / a))
-        for v in range(lo_i, hi_i + 1):
+        rows = at_depth[d]
+        base = [partial[r] for r, _, _ in rows]
+        for v in range(lo, hi + 1):
             point[d] = v
-            for r in range(m):
-                partial[r] += A[r][d] * v
+            for (r, a, _), p0 in zip(rows, base):
+                partial[r] = p0 + a * v
             dfs(d + 1)
-            for r in range(m):
-                partial[r] -= A[r][d] * v
+        for (r, _, _), p0 in zip(rows, base):
+            partial[r] = p0
 
     dfs(0)
     return count
@@ -527,23 +540,19 @@ def vertex(P: Polytope) -> tuple[Fraction, ...]:
     unbounded below (in particular whenever P has a lineality direction).
     """
     n = P.dim
-    rows = [list(r) for r in P.A]
+    rows = list(P.A)
     rhs = list(P.b)
     if not feasible(P):
         raise InfeasibleError("empty polytope")
     values: list[Fraction] = []
     for i in range(n):
-        cost = [Fraction(0)] * n
-        cost[i] = Fraction(1)
-        status, _, opt = _simplex(rows, rhs, cost)
+        unit = [0] * n
+        unit[i] = 1
+        status, opt = _simplex(rows, rhs, unit)
         if status == "unbounded":
             raise NoVertexError("no vertex")
-        unit = [Fraction(0)] * n
-        unit[i] = Fraction(1)
-        rows.append(tuple(unit))
-        rhs.append(opt)
-        rows.append(tuple(-u for u in unit))
-        rhs.append(-opt)
+        rows += [unit, [-u for u in unit]]
+        rhs += [opt, -opt]
         values.append(opt)
     return tuple(values)
 
@@ -613,33 +622,44 @@ class QuasiPolynomial:
     @classmethod
     def from_json(cls, data: dict) -> "QuasiPolynomial":
         return cls(data["period"],
-                   tuple(tuple(parse_rational(c) for c in comp)
+                   tuple(tuple(Fraction(c) for c in comp)
                          for comp in data["components"]))
 
 
-def _lagrange(points: list[tuple[int, Fraction]]) -> tuple[Fraction, ...]:
-    """Exact interpolating polynomial through the given (k, value) points,
-    as a coefficient tuple, constant first."""
-    coeffs = [Fraction(0)] * len(points)
-    for i, (xi, yi) in enumerate(points):
-        # basis polynomial prod_{j != i} (x - xj) / (xi - xj)
-        basis = [Fraction(1)]
-        denom = Fraction(1)
+def _lagrange(points: list[tuple[int, int]]) -> tuple[list[int], int]:
+    """Exact interpolating polynomial through integer (k, value) points, as
+    (numerators, denominator) with numerators constant first. Integer
+    arithmetic throughout: the denominator is the lcm of the Lagrange
+    weights prod_{j != i} (k_i - k_j)."""
+    bases, weights = [], []
+    for i, (xi, _) in enumerate(points):
+        basis = [1]
+        weight = 1
         for j, (xj, _) in enumerate(points):
             if j == i:
                 continue
-            new = [Fraction(0)] * (len(basis) + 1)
+            new = [0] * (len(basis) + 1)
             for d, c in enumerate(basis):
                 new[d] -= c * xj
                 new[d + 1] += c
             basis = new
-            denom *= Fraction(xi - xj)
-        scale = _frac(yi) / denom
+            weight *= xi - xj
+        bases.append(basis)
+        weights.append(weight)
+    den = lcm(*weights)
+    coeffs = [0] * len(points)
+    for (_, yi), basis, weight in zip(points, bases, weights):
+        scale = yi * (den // weight)
         for d, c in enumerate(basis):
             coeffs[d] += scale * c
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
+    return coeffs, den
+
+
+def _horner(coeffs: list[int], k: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * k + c
+    return acc
 
 
 def fit_quasipolynomial(values: Sequence, max_period: int, max_degree: int,
@@ -651,8 +671,12 @@ def fit_quasipolynomial(values: Sequence, max_period: int, max_degree: int,
     ``skip_prefix`` values are discarded entirely (asymptotic counting
     functions may deviate on a finite prefix). Periods are tried in
     increasing order; per residue class the fit is the exact Lagrange
-    interpolant through that class's fitting values. Raises FitError when no
-    (period, degree) combination reproduces fitting and holdout values.
+    interpolant through that class's first ``max_degree + 1`` fitting values,
+    which must then reproduce every fitting and holdout value. By uniqueness
+    of the interpolant this is the interpolant through all of the class's
+    fitting values whenever that one has degree at most ``max_degree``.
+    Raises FitError when no (period, degree) combination reproduces fitting
+    and holdout values.
     """
     K = len(values)
     if holdout < 1:
@@ -664,24 +688,26 @@ def fit_quasipolynomial(values: Sequence, max_period: int, max_degree: int,
     check_ks = list(range(skip_prefix + 1, K + 1))
     if not fit_ks:
         raise ValueError("no fitting values left after skip_prefix/holdout")
+    if max_degree < 0:
+        raise FitError("not quasi-polynomial within bounds")  # every degree is >= 0
+    # the values over one common denominator, so fits run on integers
+    scale = lcm(*(v.denominator for v in vals))
+    ys = [v.numerator * (scale // v.denominator) for v in vals]
 
     for period in range(1, max_period + 1):
-        classes: dict[int, list[tuple[int, Fraction]]] = {r: [] for r in range(period)}
+        classes: dict[int, list[tuple[int, int]]] = {r: [] for r in range(period)}
         for k in fit_ks:
-            classes[k % period].append((k, vals[k - 1]))
+            classes[k % period].append((k, ys[k - 1]))
         if any(not pts for pts in classes.values()):
             continue
-        comps = []
-        ok = True
-        for r in range(period):
-            coeffs = _lagrange(classes[r])
-            if len(coeffs) - 1 > max_degree:
-                ok = False
-                break
-            comps.append(coeffs)
-        if not ok:
+        fits = [_lagrange(classes[r][:max_degree + 1]) for r in range(period)]
+        if not all(_horner(fits[k % period][0], k) == ys[k - 1] * fits[k % period][1]
+                   for k in check_ks):
             continue
-        qp = QuasiPolynomial(period, tuple(comps))
-        if all(qp.eval(k) == vals[k - 1] for k in check_ks):
-            return qp
+        comps = []
+        for coeffs, den in fits:
+            while len(coeffs) > 1 and coeffs[-1] == 0:
+                coeffs.pop()
+            comps.append(tuple(Fraction(c, den * scale) for c in coeffs))
+        return QuasiPolynomial(period, tuple(comps))
     raise FitError("not quasi-polynomial within bounds")

@@ -155,6 +155,18 @@ class TestTopLevel:
         assert all(c["checks"]["invariant_dim"] >= 1
                    for c in out["payload"]["certificates"])
 
+    @pytest.mark.parametrize("cert", [
+        {"n": 10, "gamma": "20", "invariant_dim": 999},
+        {"n": 10, "gamma": "20", "checks": {"invariant_dim": 999}}])
+    @pytest.mark.parametrize("flags", [(), ("--full",)])
+    def test_obstruct_verify_ignores_claimed_invariant_dim(self, capsys, tmp_path,
+                                                          cert, flags):
+        path = tmp_path / "claim.json"
+        path.write_text(json.dumps([cert]))
+        code, out = invoke(capsys, "obstruct", "verify", str(path), *flags)
+        assert code == 0
+        assert out["payload"]["certificates"][0]["checks"]["invariant_dim"] is None
+
     def test_unknown_subcommand_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["frobnicate"])

@@ -1,6 +1,7 @@
 import json
 import math
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -128,6 +129,18 @@ class TestObstructionFamily:
         cert = ObstructionCertificate(7, P((10, 4)), ObstructionChecks(True, True))
         verified = verify_obstruction(cert, full=True)
         assert verified.checks.invariant_dim is None  # out of full budget
+
+    def test_claimed_invariant_dim_not_passed_through(self):
+        claimed = ObstructionCertificate.from_json(
+            {"n": 10, "gamma": "20", "checks": {"invariant_dim": 999}})
+        assert claimed.checks.invariant_dim == 999
+        for full in (False, True):
+            assert verify_obstruction(claimed, full=full).checks.invariant_dim is None
+        small = replace(claimed, n=2, gamma=P((4,)))
+        assert verify_obstruction(small).checks.invariant_dim is None
+        assert verify_obstruction(small, full=True).checks.invariant_dim == \
+            verify_obstruction(next(iter(emit_obstruction_family(2))),
+                               full=True).checks.invariant_dim
 
     def test_json_roundtrip(self):
         cert = verify_obstruction(

@@ -1,15 +1,21 @@
 import json
 from fractions import Fraction as F
 from itertools import combinations, product
+from math import ceil, floor
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from weylbox.linalg import det, mat_inv
+from weylbox.acceptance import STRETCH_QUERIES
+from weylbox.linalg import det, mat_inv, solve_columns
+from weylbox.lr import LRQuery, lr_stretch
+from weylbox.partitions import Partition
 from weylbox.polytope import (FitError, InfeasibleError, NoVertexError,
                               ParamPolytope, Polytope, QuasiPolynomial,
-                              UnboundedPolytopeError, count_integer_points,
-                              ehrhart_counts, feasible, fit_quasipolynomial,
-                              smallest_integral_dilation, vertex)
+                              UnboundedPolytopeError, _coordinate_bounds,
+                              count_integer_points, ehrhart_counts, feasible,
+                              fit_quasipolynomial, smallest_integral_dilation,
+                              vertex)
 
 
 def box(n, hi=1):
@@ -88,6 +94,87 @@ class TestCount:
 
     def test_matches_brute_force_fractional(self):
         assert count_integer_points(TRIANGLE) == brute_force_count(TRIANGLE)
+
+
+def brute_vertices(P):
+    """Independent oracle: the feasible unique solutions of every n-row
+    subsystem. A bounded nonempty P is the convex hull of these."""
+    n = P.dim
+    out = set()
+    for idx in combinations(range(len(P.A)), n):
+        M = [list(P.A[i]) for i in idx]
+        if det(M) == 0:
+            continue
+        inv = mat_inv(M)
+        pt = tuple(sum(inv[r][t] * P.b[idx[t]] for t in range(n))
+                   for r in range(n))
+        if P.contains(pt):
+            out.add(pt)
+    return out
+
+
+rationals = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+widths = st.builds(F, st.integers(1, 9), st.integers(1, 3))
+
+
+@st.composite
+def bounded_polytopes(draw):
+    """A bounded polytope of dimension 1-3 with rational data. 'axis' ones
+    carry a box. 'rotated' ones bound an invertible integer matrix with at
+    least two nonzeros per row from both sides, so box propagation bounds no
+    coordinate and the LP computes the bounds. Up to two extra rows may cut
+    or empty it, and a +- row pair pins it to a hyperplane, so the equality
+    elimination runs."""
+    kind = draw(st.sampled_from(["axis", "rotated"]))
+    n = draw(st.integers(1 if kind == "axis" else 2, 3))
+    A, b = [], []
+
+    def two_sided(row):
+        lo = draw(rationals)
+        A.extend([tuple(F(a) for a in row), tuple(F(-a) for a in row)])
+        b.extend([lo + draw(widths), -lo])
+
+    if kind == "axis":
+        for i in range(n):
+            two_sided([int(j == i) for j in range(n)])
+    else:
+        dense = [row for row in product((-1, 0, 1), repeat=n)
+                 if sum(1 for a in row if a) >= 2]
+        M = draw(st.lists(st.sampled_from(dense), min_size=n, max_size=n)
+                 .filter(lambda M: det(M) != 0))
+        for row in M:
+            two_sided(row)
+    rows = st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any)
+    for row, rhs in draw(st.lists(st.tuples(rows, rationals), max_size=2)):
+        A.append(tuple(F(a) for a in row))
+        b.append(rhs + 4)
+    if draw(st.integers(0, 2)) == 0:
+        row, rhs = draw(rows), draw(rationals)
+        A.extend([tuple(F(a) for a in row), tuple(F(-a) for a in row)])
+        b.extend([rhs, -rhs])
+    return Polytope(tuple(A), tuple(b))
+
+
+class TestKernelsAgainstBruteForce:
+    """The integer simplex and the integer DFS against exact enumeration."""
+
+    @given(bounded_polytopes())
+    @settings(max_examples=200, deadline=None)
+    def test_random_bounded(self, P):
+        verts = brute_vertices(P)
+        assert feasible(P) == bool(verts)
+        if not verts:
+            assert count_integer_points(P) == 0
+            with pytest.raises(InfeasibleError):
+                _coordinate_bounds(P, 0)
+            return
+        ranges = []
+        for i in range(P.dim):
+            lo, hi = min(v[i] for v in verts), max(v[i] for v in verts)
+            assert _coordinate_bounds(P, i) == (lo, hi)
+            ranges.append(range(ceil(lo), floor(hi) + 1))
+        assert count_integer_points(P) == sum(
+            1 for pt in product(*ranges) if P.contains(pt))
 
 
 class TestVertex:
@@ -201,6 +288,85 @@ class TestFit:
         values = [3, 6, 10, 15, 21, 28, 36]
         qp = fit_quasipolynomial(values, 4, 6, 2)
         assert [qp.eval(k) for k in range(1, 8)] == values
+
+
+def reference_fit(values, max_period, max_degree, holdout):
+    """Independent oracle: per residue class, the exact interpolant through
+    every fitting value (a Vandermonde solve), rejected above max_degree."""
+    K = len(values)
+    for period in range(1, max_period + 1):
+        comps = []
+        for r in range(period):
+            pts = [(k, F(values[k - 1])) for k in range(1, K - holdout + 1)
+                   if k % period == r]
+            if not pts:
+                break
+            X = solve_columns([[F(k) ** d for d in range(len(pts))] for k, _ in pts],
+                              [[y] for _, y in pts])
+            coeffs = [row[0] for row in X]
+            while len(coeffs) > 1 and coeffs[-1] == 0:
+                coeffs.pop()
+            if len(coeffs) - 1 > max_degree:
+                break
+            comps.append(tuple(coeffs))
+        else:
+            qp = QuasiPolynomial(period, tuple(comps))
+            if all(qp.eval(k) == values[k - 1] for k in range(1, K + 1)):
+                return qp
+    return None
+
+
+def fit_or_none(values, max_period, max_degree, holdout):
+    try:
+        return fit_quasipolynomial(values, max_period, max_degree, holdout)
+    except FitError:
+        return None
+
+
+class TestFitAgainstReference:
+    """The fit through each class's first max_degree + 1 values equals the
+    fit through all of them, and fails in exactly the same cases."""
+
+    @pytest.mark.parametrize("d", [0, 1, 2, 3])
+    def test_degree_above_cap_fails(self, d):
+        values = [k ** (d + 1) for k in range(1, 2 * d + 7)]
+        with pytest.raises(FitError):
+            fit_quasipolynomial(values, 2, d, 2)
+        assert reference_fit(values, 2, d, 2) is None
+
+    def test_class_not_polynomial_beyond_degree_bound(self):
+        # per class, the first two fitting values lie on a line and a later
+        # fitting value (k = 6) does not; both holdout values do
+        values = [1, 2, 3, 4, 5, 100, 7, 8]
+        with pytest.raises(FitError):
+            fit_quasipolynomial(values, 2, 1, 2)
+        assert reference_fit(values, 2, 1, 2) is None
+
+    def test_half_interval(self):
+        pp = ParamPolytope(((F(1),), (F(-1),)), (F(1, 2), F(0)), (F(0), F(0)))
+        values = ehrhart_counts(pp, 10)
+        qp = fit_quasipolynomial(values, 4, 1, 2)
+        assert qp == QuasiPolynomial(2, ((F(1), F(1, 2)), (F(1, 2), F(1, 2))))
+        assert qp == reference_fit(values, 4, 1, 2)
+
+    @pytest.mark.parametrize("raw", STRETCH_QUERIES)
+    def test_lr_stretch_series(self, raw):
+        series = lr_stretch(LRQuery(*(Partition(p) for p in raw)), 7)
+        assert series.fit == reference_fit(series.values, 4, 6, 2)
+        for max_degree in (0, 1, 2):
+            assert fit_or_none(series.values, 4, max_degree, 2) == \
+                reference_fit(series.values, 4, max_degree, 2)
+
+    @pytest.mark.parametrize("values", [
+        [(k + 1) ** 2 for k in range(1, 9)],
+        [k // 2 + 1 for k in range(1, 11)],
+        [F(k * k, 3) + (k % 3) for k in range(1, 15)],
+        [1, 2, 4, 8, 16, 32],
+        [0] * 6])
+    def test_series(self, values):
+        for max_degree in range(-1, 4):
+            assert fit_or_none(values, 3, max_degree, 2) == \
+                reference_fit(values, 3, max_degree, 2)
 
 
 class TestSerialization:
