@@ -213,9 +213,11 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets) -> dict:
 
     if cmd == "kron":
         if args.kron_command == "coeff":
-            return {"kronecker": kronecker(args.lam, args.mu, args.nu)}
+            return {"kronecker": kronecker(
+                args.lam, args.mu, args.nu, table_cap=budgets.char_table_max_n)}
         if args.kron_command == "det-invariant":
-            return {"multiplicity": det_stabilizer_invariant_mult(args.lam, args.m)}
+            return {"multiplicity": det_stabilizer_invariant_mult(
+                args.lam, args.m, table_cap=budgets.char_table_max_n)}
         series = g_stretch(args.lam, args.m, args.K,
                            table_cap=budgets.char_table_max_n)
         return {"values": list(series.values),

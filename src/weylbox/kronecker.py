@@ -90,14 +90,22 @@ class CharacterTable:
         return tuple(self.character(lam, mu) for mu in self.partitions)
 
 
-def kronecker(lam: Partition, mu: Partition, nu: Partition) -> int:
+def kronecker(lam: Partition, mu: Partition, nu: Partition,
+              table_cap: int | None = None) -> int:
     """Kronecker coefficient: multiplicity of the trivial character in
-    chi_lam * chi_mu * chi_nu, symmetric in all three arguments."""
+    chi_lam * chi_mu * chi_nu, symmetric in all three arguments. Refuses
+    with BudgetError when n exceeds ``table_cap`` (default
+    ``char_table_max_n``)."""
     lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
+    if table_cap is None:
+        table_cap = DEFAULT.char_table_max_n
     n = lam.size
     if mu.size != n or nu.size != n:
         raise ValueError(
             f"sizes differ: {lam.size}, {mu.size}, {nu.size}")
+    if n > table_cap:
+        raise BudgetError(
+            f"character table budget exceeded: n={n} > {table_cap}")
     if n == 0:
         return 1
     total = 0
@@ -111,7 +119,8 @@ def kronecker(lam: Partition, mu: Partition, nu: Partition) -> int:
     return value
 
 
-def det_stabilizer_invariant_mult(lam: Partition, m: int) -> int:
+def det_stabilizer_invariant_mult(lam: Partition, m: int,
+                                  table_cap: int | None = None) -> int:
     """Multiplicity of the trivial SL_m x SL_m representation in the
     irreducible GL(m^2)-representation labelled by lam, restricted through
     GL_m x GL_m acting on C^m (x) C^m.
@@ -120,6 +129,7 @@ def det_stabilizer_invariant_mult(lam: Partition, m: int) -> int:
     SL-trivial constituents are those with both GL_m labels rectangular,
     which forces the single shape R = (|lam|/m, ..., |lam|/m). The discrete
     transpose part of the full determinant stabilizer is ignored here.
+    ``table_cap`` bounds the Kronecker coefficient as in :func:`kronecker`.
     """
     lam = Partition(lam)
     if m < 1:
@@ -129,7 +139,7 @@ def det_stabilizer_invariant_mult(lam: Partition, m: int) -> int:
     if lam.size % m != 0:
         return 0
     R = Partition((lam.size // m,) * m)
-    return kronecker(lam, R, R)
+    return kronecker(lam, R, R, table_cap=table_cap)
 
 
 @dataclass(frozen=True)
@@ -164,7 +174,7 @@ def g_stretch(lam: Partition, m: int, K: int,
             raise BudgetError(
                 f"character table budget exceeded at k={k}: "
                 f"|k*lam|={k * lam.size} > {table_cap}")
-    values = tuple(det_stabilizer_invariant_mult(lam.scale(k), m)
+    values = tuple(det_stabilizer_invariant_mult(lam.scale(k), m, table_cap)
                    for k in range(1, K + 1))
     fit = None
     if K >= holdout + 2:

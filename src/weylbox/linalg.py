@@ -126,11 +126,6 @@ def mat_mul(A, B) -> list[list[Fraction]]:
                  Fraction(0)) for j in range(m)] for i in range(n)]
 
 
-def mat_vec(A, v) -> list[Fraction]:
-    return [sum((Fraction(a) * Fraction(x) for a, x in zip(row, v)), Fraction(0))
-            for row in A]
-
-
 def identity(n: int) -> list[list[Fraction]]:
     return [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
             for i in range(n)]

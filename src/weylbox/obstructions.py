@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import linalg
 from .config import DEFAULT, BudgetError
-from .partitions import Partition, is_even
+from .partitions import Partition, is_even, weak_compositions
 from .weylmod import MultiPoly, perm_stabilizer_invariants
 
 _TRACE_SEED = 91
@@ -93,31 +93,13 @@ def enumerate_magic_squares(n: int, r: int,
     col_left = [r] * n
     rows_acc: list[tuple[int, ...]] = []
 
-    def compositions(total: int, caps: list[int]):
-        """Weak compositions of total with per-coordinate caps."""
-        k = len(caps)
-
-        def rec(pos: int, remaining: int, prefix: list[int]):
-            if pos == k - 1:
-                if remaining <= caps[pos]:
-                    prefix.append(remaining)
-                    yield tuple(prefix)
-                    prefix.pop()
-                return
-            for v in range(min(remaining, caps[pos]), -1, -1):
-                prefix.append(v)
-                yield from rec(pos + 1, remaining - v, prefix)
-                prefix.pop()
-
-        yield from rec(0, total, [])
-
     def fill(row_idx: int):
         if row_idx == n - 1:
             last = tuple(col_left)
             if sum(last) == r:
                 squares.append(MagicSquare(n, tuple(rows_acc) + (last,)))
             return
-        for row in compositions(r, col_left):
+        for row in weak_compositions(r, tuple(col_left)):
             rows_acc.append(row)
             for j in range(n):
                 col_left[j] -= row[j]

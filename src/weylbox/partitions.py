@@ -99,6 +99,39 @@ def partitions_of(n: int, max_length: int | None = None,
     yield from rec(n, max_part, max_length, [])
 
 
+def weak_compositions(total: int, caps) -> Iterator[tuple[int, ...]]:
+    """Weak compositions c of total with c[i] <= caps[i], one coordinate per
+    cap, in lexicographically decreasing order."""
+    k = len(caps)
+    room = [0] * (k + 1)  # room[i] = sum(caps[i:])
+    for i in range(k - 1, -1, -1):
+        room[i] = room[i + 1] + caps[i]
+    if not 0 <= total <= room[0]:
+        return
+    c = [0] * k
+
+    def fill(pos: int, remaining: int) -> None:
+        # the largest completion: each coordinate as full as its cap allows
+        for t in range(pos, k):
+            c[t] = min(remaining, caps[t])
+            remaining -= c[t]
+
+    fill(0, total)
+    while True:
+        yield tuple(c)
+        # the successor lowers the rightmost coordinate whose suffix has room
+        # for one more unit, and refills that suffix greedily
+        rest = 0
+        for i in range(k - 1, -1, -1):
+            if c[i] and rest < room[i + 1]:
+                break
+            rest += c[i]
+        else:
+            return
+        c[i] -= 1
+        fill(i + 1, rest + 1)
+
+
 @dataclass(frozen=True)
 class Tableau:
     """A filling of a Young diagram by positive integers."""
@@ -192,49 +225,44 @@ def kostka(lam: Partition, content) -> int:
     if sum(content) != lam.size:
         raise ValueError(
             f"content sums to {sum(content)}, shape has size {lam.size}")
-    if not lam:
+    # Kostka numbers do not change when the content is permuted (Bender-Knuth
+    # involutions) or its zeros dropped, so cache on the sorted content
+    return _kostka(lam, tuple(sorted((c for c in content if c), reverse=True)))
+
+
+@lru_cache(maxsize=None)
+def _kostka(lam: Partition, content: tuple[int, ...]) -> int:
+    # the largest entry fills a horizontal strip lam/rho of size content[-1]:
+    # row i gives up r[i] <= lam[i] - lam[i+1] cells; sizes stay equal, so
+    # lam is empty once content is
+    if not content:
         return 1
-    max_entry = len(content)
-    if len(lam) > max_entry:
+    if len(lam) > len(content):
         return 0
-    col_len = conjugate(lam).padded(lam[0])
-    cells = [(r, c) for r, width in enumerate(lam) for c in range(width)]
-    rows = [[0] * width for width in lam]
-    remaining = list(content)
-
-    def count(idx: int) -> int:
-        if idx == len(cells):
-            return 1
-        r, c = cells[idx]
-        lo = 1
-        if c > 0:
-            lo = rows[r][c - 1]
-        if r > 0:
-            lo = max(lo, rows[r - 1][c] + 1)
-        hi = max_entry - (col_len[c] - r - 1)
-        total = 0
-        for v in range(lo, hi + 1):
-            if remaining[v - 1] == 0:
-                continue
-            remaining[v - 1] -= 1
-            rows[r][c] = v
-            total += count(idx + 1)
-            remaining[v - 1] += 1
-        return total
-
-    return count(0)
+    caps = [a - b for a, b in zip(lam, lam[1:] + (0,))]
+    return sum(_kostka(Partition(a - r for a, r in zip(lam, removed)),
+                       content[:-1])
+               for removed in weak_compositions(content[-1], caps))
 
 
 @lru_cache(maxsize=None)
 def dim_weyl(lam: Partition, n: int) -> int:
-    """Number of semistandard tableaux of shape lam over 1..n, the dimension
-    of the corresponding irreducible polynomial GL_n representation."""
+    """Dimension of the irreducible polynomial GL_n representation labelled
+    by lam, by the hook-content formula prod (n + c - r) / hook(r, c) over
+    the cells (Stanley, EC2 Cor. 7.21.4). It counts the semistandard
+    tableaux of shape lam over 1..n; ``count_ssyt`` is its test oracle."""
     lam = Partition(lam)
     if not lam:
         return 1
     if len(lam) > n:
         return 0
-    return count_ssyt(lam, n)
+    cols = conjugate(lam)
+    num = den = 1
+    for r, width in enumerate(lam):
+        for c in range(width):
+            num *= n + c - r
+            den *= (width - c) + (cols[c] - r) - 1
+    return num // den
 
 
 def count_ssyt(shape: Partition, max_entry: int) -> int:

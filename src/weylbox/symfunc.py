@@ -1,46 +1,36 @@
 """Exact symmetric-polynomial calculus.
 
-Schur polynomials are built from their semistandard-tableau content
-generating functions, products are multiplied out monomial by monomial, and
-plethysm is computed by literal substitution of the monomials of the inner
-polynomial into the outer one. Nothing here knows about Littlewood-Richardson
-or plethysm rules: this module is the brute-force oracle the rest of the
-toolkit is checked against.
+Schur polynomials are built from their Kostka numbers, the m-basis
+coefficients of their semistandard-tableau content generating functions.
+Products and plethysms are evaluated only at the dominant monomials x^lam
+(lam a partition), the ones a Schur expansion reads: a product coefficient
+is the convolution of the factors' m-coefficients over the ways to split
+lam, and a plethysm coefficient comes from literal substitution of the
+monomials of the inner polynomial into the outer one, organized by target
+monomial. Nothing here knows about Littlewood-Richardson or plethysm rules:
+this module is the brute-force oracle the rest of the toolkit is checked
+against.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .config import DEFAULT, BudgetError
-from .partitions import Partition, iter_ssyt, kostka, partitions_of
+from .partitions import Partition, kostka, partitions_of, weak_compositions
 
 
 class NonHomogeneousError(ValueError):
     """Schur expansion requires a homogeneous input."""
 
 
-def _distinct_permutations(items: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """All distinct permutations of a multiset, without generating duplicates."""
-    pool = sorted(items, reverse=True)
-    n = len(pool)
-    out = [0] * n
-
-    def rec(remaining: list[int], depth: int):
-        if depth == n:
-            yield tuple(out)
-            return
-        prev = None
-        for i, v in enumerate(remaining):
-            if v == prev:
-                continue
-            prev = v
-            out[depth] = v
-            yield from rec(remaining[:i] + remaining[i + 1:], depth + 1)
-
-    yield from rec(pool, 0)
+def _sort(expo) -> tuple[int, ...]:
+    """The partition of an exponent vector's nonzero entries, as a plain
+    tuple (equal to, and hashed like, the Partition it names)."""
+    return tuple(sorted((e for e in expo if e), reverse=True))
 
 
 @dataclass(frozen=True)
@@ -90,33 +80,24 @@ class SymPoly:
     def scale(self, c) -> "SymPoly":
         return SymPoly(self.num_vars, {k: c * v for k, v in self.terms.items()})
 
-    def raw_monomials(self) -> dict[tuple[int, ...], object]:
-        """Expand into plain exponent-vector form (length num_vars)."""
-        out: dict[tuple[int, ...], object] = {}
-        for key, coeff in self.terms.items():
-            padded = key.padded(self.num_vars)
-            for expo in _distinct_permutations(padded):
-                out[expo] = coeff
-        return out
-
     def __mul__(self, other: "SymPoly") -> "SymPoly":
+        """Product in the m basis, computed only at dominant monomials:
+        [x^lam](f g) = sum over c <= lam of f_{sort c} g_{sort(lam - c)}."""
         if self.num_vars != other.num_vars:
             raise ValueError("variable counts differ")
-        raw1 = self.raw_monomials()
-        raw2 = other.raw_monomials()
-        if len(raw1) > len(raw2):
-            raw1, raw2 = raw2, raw1
+        f, g = self.terms, other.terms
         acc: dict[Partition, object] = {}
-        # collect only monomials that are already sorted: those are exactly
-        # the m_lam representatives, and symmetry supplies the rest
-        for e1, c1 in raw1.items():
-            for e2, c2 in raw2.items():
-                merged = tuple(a + b for a, b in zip(e1, e2))
-                srt = sorted(merged, reverse=True)
-                if list(merged) != srt:
-                    continue
-                key = Partition(merged)
-                acc[key] = acc.get(key, 0) + c1 * c2
+        for d1 in {k.size for k in f}:
+            for d2 in {k.size for k in g}:
+                for lam in partitions_of(d1 + d2, max_length=self.num_vars):
+                    total = acc.get(lam, 0)
+                    for c in weak_compositions(d1, lam):
+                        a = f.get(_sort(c))
+                        if a:
+                            b = g.get(_sort([x - y for x, y in zip(lam, c)]))
+                            if b:
+                                total += a * b
+                    acc[lam] = total
         return SymPoly(self.num_vars, acc)
 
 
@@ -167,10 +148,11 @@ def schur_expand(f: SymPoly) -> dict[Partition, object]:
 
 def product_expand(alpha: Partition, beta: Partition) -> dict[Partition, int]:
     """Littlewood-Richardson coefficients c^lam_{alpha,beta} as the Schur
-    expansion of s_alpha * s_beta, computed in |alpha|+|beta| variables
-    (enough to determine every coefficient)."""
+    expansion of s_alpha * s_beta, computed in len(alpha)+len(beta)
+    variables: enough to determine every coefficient, since c^lam_{alpha,beta}
+    vanishes when lam is longer."""
     alpha, beta = Partition(alpha), Partition(beta)
-    N = alpha.size + beta.size
+    N = len(alpha) + len(beta)
     prod = schur(alpha, N) * schur(beta, N)
     return {k: int(v) for k, v in schur_expand(prod).items()}
 
@@ -181,7 +163,9 @@ def plethysm_expand(pi: Partition, mu: Partition,
 
     The monomials of s_mu (with multiplicity, one per semistandard tableau)
     are listed in N = |pi|*|mu| variables; s_pi is then evaluated with the
-    monomial list as its alphabet and the result expanded in the Schur basis.
+    monomial list as its alphabet, at each dominant monomial x^lam by a
+    search over the multisets of |pi| letters that sum to lam, and the
+    result expanded in the Schur basis.
     """
     pi, mu = Partition(pi), Partition(mu)
     if degree_cap is None:
@@ -192,56 +176,43 @@ def plethysm_expand(pi: Partition, mu: Partition,
             f"plethysm degree {degree} exceeds cap {degree_cap}")
     if not pi:
         return {Partition(): 1}
-    N = degree
-    monomials = [content_vector(rows, N) for rows in iter_ssyt(mu, N)] \
-        if mu else [(0,) * N]
-    acc: dict[Partition, int] = {}
-    shape = tuple(pi)
-    M = len(monomials)
-    if len(shape) > M:
-        return {}
+    N, p = degree, pi.size
+    # the alphabet: each monomial x^e of s_mu, repeated K_{mu,e} times; a
+    # target lam has lam[t] <= degree // (t + 1), so larger e[t] never fit
+    caps = [min(mu.size, degree // (t + 1)) for t in range(N)]
+    letters = [e for e in weak_compositions(mu.size, caps)
+               for _ in range(kostka(mu, e))]
+    # exponent vectors packed one field per variable, with a guard bit on
+    # top of each field: e <= rem componentwise iff every guard bit survives
+    # ((rem | guard) - e), and rem - e is then a plain subtraction
+    width = degree.bit_length() + 1
+    guard = sum(1 << (width * t + width - 1) for t in range(N))
 
-    # fused SSYT-of-shape-pi enumeration over the monomial alphabet, keeping a
-    # running exponent sum; only keep exponent vectors that are sorted, i.e.
-    # the m_lam representatives
-    from .partitions import conjugate
-    col_len = conjugate(Partition(shape)).padded(shape[0])
-    cells = [(r, c) for r, width in enumerate(shape) for c in range(width)]
-    rows_state = [[0] * width for width in shape]
-    expo = [0] * N
+    def pack(expo) -> int:
+        return sum(v << (width * t) for t, v in enumerate(expo))
 
-    def fill(idx: int):
-        if idx == len(cells):
-            for t in range(N - 1):
-                if expo[t] < expo[t + 1]:
-                    return
-            key = Partition(expo)
-            acc[key] = acc.get(key, 0) + 1
-            return
-        r, c = cells[idx]
-        lo = 1
-        if c > 0:
-            lo = rows_state[r][c - 1]
-        if r > 0:
-            lo = max(lo, rows_state[r - 1][c] + 1)
-        hi = M - (col_len[c] - r - 1)
-        for v in range(lo, hi + 1):
-            rows_state[r][c] = v
-            mono = monomials[v - 1]
-            for t in range(N):
-                expo[t] += mono[t]
-            fill(idx + 1)
-            for t in range(N):
-                expo[t] -= mono[t]
+    codes = [pack(e) for e in letters]
+    last_letters: dict[int, list[int]] = {}
+    for i, c in enumerate(codes):
+        last_letters.setdefault(c, []).append(i)
+    chosen: list[int] = []
 
-    fill(0)
+    def count(start: int, rem: int) -> int:
+        # multisets of p - len(chosen) letters, from index start on, summing
+        # to rem; each is weighted by s_pi's m-coefficient K_{pi,m} at its
+        # letter multiplicities m
+        if len(chosen) == p - 1:
+            return sum(kostka(pi, Counter(chosen + [i]).values())
+                       for i in last_letters.get(rem, ()) if i >= start)
+        total = 0
+        guarded = rem | guard
+        for i in range(start, len(codes)):
+            if (guarded - codes[i]) & guard == guard:
+                chosen.append(i)
+                total += count(i, rem - codes[i])
+                chosen.pop()
+        return total
+
+    acc = {lam: count(0, pack(lam)) for lam in partitions_of(degree, max_length=N)}
     poly = SymPoly(N, acc)
     return {k: int(v) for k, v in schur_expand(poly).items()}
-
-
-def content_vector(rows: tuple[tuple[int, ...], ...], n: int) -> tuple[int, ...]:
-    counts = [0] * n
-    for row in rows:
-        for e in row:
-            counts[e - 1] += 1
-    return tuple(counts)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import linalg
 from .config import DEFAULT, BudgetError
 from .partitions import (Partition, Tableau, canonical_tableau, dim_weyl,
-                         enumerate_ssyt)
+                         enumerate_ssyt, weak_compositions)
 
 _HWV_SEED = 178
 _TRIALS_PER_CHECK = 5
@@ -417,25 +417,6 @@ def perm_stabilizer_invariants(gamma: Partition, n: int,
 # symmetry characterization of det and perm
 # ---------------------------------------------------------------------------
 
-def _degree_monomials(nvars: int, degree: int):
-    """All exponent vectors of the given total degree."""
-    def rec(pos: int, remaining: int, prefix: list[int]):
-        if pos == nvars - 1:
-            prefix.append(remaining)
-            yield tuple(prefix)
-            prefix.pop()
-            return
-        for v in range(remaining, -1, -1):
-            prefix.append(v)
-            yield from rec(pos + 1, remaining - v, prefix)
-            prefix.pop()
-    if nvars == 0:
-        if degree == 0:
-            yield ()
-        return
-    yield from rec(0, degree, [])
-
-
 def _row_col_degrees(expo: tuple[int, ...], m: int):
     row = [0] * m
     col = [0] * m
@@ -526,7 +507,7 @@ def symmetry_characterization_space(kind: str, size: int) -> tuple[int, list[Mul
     nv = m * m
 
     if kind == "det":
-        monos = list(_degree_monomials(nv, m))
+        monos = list(weak_compositions(m, (m,) * nv))
         # the diagonal-difference derivations act diagonally on monomials
         # with eigenvalue (row or column degree difference): their joint
         # kernel is the span of monomials with constant row and column
@@ -574,7 +555,7 @@ def symmetry_characterization_space(kind: str, size: int) -> tuple[int, list[Mul
         return len(result), [_poly_from_sparse(nv, v) for v in result]
 
     # perm: torus filter plus finite generators
-    monos = [e for e in _degree_monomials(nv, m)
+    monos = [e for e in weak_compositions(m, (m,) * nv)
              if len(set(_row_col_degrees(e, m)[0])) == 1
              and len(set(_row_col_degrees(e, m)[1])) == 1]
     basis = [{e: 1} for e in monos]

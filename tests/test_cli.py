@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -100,11 +101,29 @@ class TestKron:
         assert code == 1
         assert out["payload"]["error"]["type"] == "ValueError"
 
+    @pytest.mark.parametrize("argv", [("coeff", "15", "14,1", "13,2"),
+                                      ("det-invariant", "15,15", "--m", "2")])
+    def test_character_table_cap_refused(self, capsys, argv):
+        # n = 15 and 30 exceed the default char_table_max_n = 14
+        code, out = invoke(capsys, "kron", *argv)
+        assert code == 1
+        assert out["payload"]["error"]["type"] == "BudgetError"
+
 
 class TestWeyl:
     def test_dim(self, capsys):
         code, out = invoke(capsys, "weyl", "dim", "2,1", "3")
         assert code == 0 and out["payload"]["dimension"] == 8
+
+    def test_dim_large(self, capsys):
+        # Weyl's formula: prod over i < j of (l_i - l_j + j - i) / (j - i)
+        lam = (8, 6, 4, 2) + (0,) * 6
+        expected = Fraction(1)
+        for i in range(10):
+            for j in range(i + 1, 10):
+                expected *= Fraction(lam[i] - lam[j] + j - i, j - i)
+        code, out = invoke(capsys, "weyl", "dim", "8,6,4,2", "10")
+        assert code == 0 and out["payload"]["dimension"] == expected
 
     def test_dim_with_basis(self, capsys):
         code, out = invoke(capsys, "weyl", "dim", "1,1", "2", "--basis")

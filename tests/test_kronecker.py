@@ -96,6 +96,14 @@ class TestKronecker:
         with pytest.raises(ValueError):
             kronecker(P((2,)), P((1, 1)), P((3,)))
 
+    def test_table_cap(self):
+        lam, mu, nu = P((15,)), P((14, 1)), P((13, 2))
+        with pytest.raises(BudgetError, match="n=15 > 14"):
+            kronecker(lam, mu, nu)
+        assert kronecker(lam, mu, nu, table_cap=15) == 0
+        with pytest.raises(BudgetError, match="n=6 > 5"):
+            det_stabilizer_invariant_mult(P((3, 3)), 2, table_cap=5)
+
 
 class TestDetStabilizer:
     def test_indivisible(self):
@@ -138,3 +146,6 @@ class TestGStretch:
     def test_budget_names_k(self):
         with pytest.raises(BudgetError, match="k=8"):
             g_stretch(P((2,)), 2, 8)
+
+    def test_raised_cap_reaches_each_coefficient(self):
+        assert g_stretch(P((2,)), 2, 8, table_cap=16).values == (1,) * 8

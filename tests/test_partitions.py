@@ -1,12 +1,12 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from weylbox.partitions import (Partition, Tableau, canonical_tableau,
                                 conjugate, count_ssyt, dim_weyl,
-                                enumerate_ssyt, is_even, kostka,
-                                partitions_of)
+                                enumerate_ssyt, is_even, iter_ssyt, kostka,
+                                partitions_of, weak_compositions)
 
 
 def naive_ssyt(shape, max_entry):
@@ -100,6 +100,18 @@ class TestSSYT:
         assert got == set(naive_ssyt(shape, max_entry))
 
 
+@st.composite
+def shape_and_content(draw):
+    """A partition of at most 6 and a weak composition of its size into
+    1..5 parts, cut by stars and bars."""
+    lam = draw(partition_strategy.filter(lambda lam: lam.size <= 6))
+    n = draw(st.integers(1, 5))
+    cuts = sorted(draw(st.lists(st.integers(0, lam.size),
+                                min_size=n - 1, max_size=n - 1)))
+    content = tuple(b - a for a, b in zip([0] + cuts, cuts + [lam.size]))
+    return lam, content
+
+
 class TestKostka:
     def test_example(self):
         # oracle: two SSYT of shape (2,1) with content (1,1,1)
@@ -118,6 +130,16 @@ class TestKostka:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             kostka(Partition((2, 1)), (1, 1))
+
+    @given(shape_and_content())
+    @settings(max_examples=60, deadline=None)
+    def test_against_enumeration(self, case):
+        # strip recursion against counting enumerated tableaux by content
+        lam, content = case
+        n = len(content)
+        expected = sum(1 for rows in iter_ssyt(lam, n)
+                       if Tableau(rows).content(n) == content)
+        assert kostka(lam, content) == expected
 
 
 class TestDimWeyl:
@@ -141,6 +163,11 @@ class TestDimWeyl:
             if sum(content) == lam.size:
                 by_content += kostka(lam, content)
         assert dim_weyl(lam, n) == by_content
+
+    @given(partition_strategy, st.integers(0, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_hook_content_is_ssyt_count(self, lam, n):
+        assert dim_weyl(lam, n) == count_ssyt(lam, n)
 
     def test_count_matches_enumeration(self):
         for shape in [(2, 1), (3,), (2, 2), (3, 1)]:
@@ -167,3 +194,11 @@ def test_partitions_of_order():
                    Partition((2, 1, 1)), Partition((1, 1, 1, 1))]
     assert list(partitions_of(4, max_length=2)) == \
         [Partition((4,)), Partition((3, 1)), Partition((2, 2))]
+
+
+@given(st.integers(-1, 12), st.lists(st.integers(0, 4), max_size=5))
+@settings(max_examples=80, deadline=None)
+def test_weak_compositions_match_filtered_product(total, caps):
+    expected = [c for c in itertools.product(*(range(cap, -1, -1) for cap in caps))
+                if sum(c) == total]
+    assert list(weak_compositions(total, caps)) == expected

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylbox.config import BudgetError
-from weylbox.partitions import Partition, dim_weyl, partitions_of
+from weylbox.lr import LRQuery, lr_coefficient
+from weylbox.partitions import Partition, dim_weyl, iter_ssyt, partitions_of
 from weylbox.symfunc import (NonHomogeneousError, SymPoly, plethysm_expand,
                              product_expand, schur, schur_expand)
 
@@ -103,3 +104,53 @@ class TestPlethysm:
         for pi in partitions_of(3):
             for mu in partitions_of(2):
                 assert all(v > 0 for v in plethysm_expand(pi, mu).values())
+
+
+def literal_plethysm(pi, mu):
+    """Reference s_pi[s_mu]: list the monomials of s_mu in N = |pi||mu|
+    variables, one per semistandard tableau, fill every semistandard tableau
+    of shape pi with that alphabet, and keep the dominant exponent sums."""
+    N = pi.size * mu.size
+    alphabet = []
+    for rows in iter_ssyt(mu, N):
+        expo = [0] * N
+        for row in rows:
+            for v in row:
+                expo[v - 1] += 1
+        alphabet.append(expo)
+    acc = {}
+    for rows in iter_ssyt(pi, len(alphabet)):
+        expo = [sum(col) for col in
+                zip([0] * N, *(alphabet[v - 1] for row in rows for v in row))]
+        if all(expo[t] >= expo[t + 1] for t in range(N - 1)):
+            key = Partition(expo)
+            acc[key] = acc.get(key, 0) + 1
+    return schur_expand(SymPoly(N, acc))
+
+
+PLETHYSM_PAIRS = [(pi, mu) for a in range(1, 7) for b in range(1, 7)
+                  if a * b <= 6
+                  for pi in partitions_of(a) for mu in partitions_of(b)]
+
+partition_up_to_6 = st.integers(0, 6).flatmap(
+    lambda n: st.sampled_from(list(partitions_of(n, max_length=5)) or [P()]))
+
+
+class TestAgainstIndependentRoutes:
+    @given(partition_up_to_6, partition_up_to_6)
+    @settings(max_examples=30, deadline=None)
+    def test_product_is_lr_coefficient(self, a, b):
+        prod = product_expand(a, b)
+        longest = len(a) + len(b)
+        assert all(len(lam) <= longest for lam in prod)
+        for lam in partitions_of(a.size + b.size, max_length=longest):
+            assert prod.get(lam, 0) == lr_coefficient(LRQuery(a, b, lam)), lam
+
+    @given(st.sampled_from(PLETHYSM_PAIRS))
+    @settings(max_examples=40, deadline=None)
+    def test_plethysm_is_literal_substitution(self, pair):
+        assert plethysm_expand(*pair) == literal_plethysm(*pair)
+
+    def test_literal_reference(self):
+        assert literal_plethysm(P((3,)), P((2,))) == \
+            {P((6,)): 1, P((4, 2)): 1, P((2, 2, 2)): 1}
