@@ -14,14 +14,15 @@ from math import gcd
 
 def _primitive_int_row(row) -> list[int]:
     """Scale a rational row to a primitive integer row (gcd 1, or all zero)."""
-    fracs = [Fraction(x) for x in row]
-    den = 1
-    for x in fracs:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
+    if all(type(x) is int for x in row):
+        ints = list(row)
+    else:
+        fracs = [Fraction(x) for x in row]
+        den = 1
+        for x in fracs:
+            den = den * x.denominator // gcd(den, x.denominator)
+        ints = [int(x * den) for x in fracs]
+    g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
     return ints
@@ -51,9 +52,7 @@ def echelon(rows, ncols: int) -> tuple[list[list[int]], list[int]]:
             if r[col] != 0:
                 f1, f2 = p, r[col]
                 r = [f1 * a - f2 * b for a, b in zip(r, pivot_row)]
-                g = 0
-                for v in r:
-                    g = gcd(g, v)
+                g = gcd(*r)
                 if g > 1:
                     r = [v // g for v in r]
             if any(r):
@@ -64,9 +63,7 @@ def echelon(rows, ncols: int) -> tuple[list[list[int]], list[int]]:
             if r[col] != 0:
                 f1, f2 = p, r[col]
                 r = [f1 * a - f2 * b for a, b in zip(r, pivot_row)]
-                g = 0
-                for v in r:
-                    g = gcd(g, v)
+                g = gcd(*r)
                 if g > 1:
                     r = [v // g for v in r]
                 reduced[i] = r
@@ -116,7 +113,8 @@ def solve_columns(A_rows, B_rows) -> list[list[Fraction]]:
     X = [[Fraction(0)] * nb for _ in range(na)]
     for row, pc in zip(reduced, pivots):
         for j in range(nb):
-            X[pc][j] = Fraction(row[na + j], row[pc])
+            if row[na + j]:
+                X[pc][j] = Fraction(row[na + j], row[pc])
     return X
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import linalg
 from .config import DEFAULT, BudgetError
 from .partitions import Partition, is_even, weak_compositions
-from .weylmod import MultiPoly, perm_stabilizer_invariants
+from .weylmod import MultiPoly, perm_generators, perm_stabilizer_invariants
 
 _TRACE_SEED = 91
 
@@ -137,7 +137,8 @@ def _magic_monomial_space(n: int, r: int) -> list[tuple[int, ...]]:
     """Degree-nr monomials in the n x n matrix entries whose row and column
     degrees are all equal; these are exactly the weight-r magic squares,
     derived here from the torus condition rather than reusing the magic
-    enumerator."""
+    enumerator. The degrees total nr, so every row degree must be r: a branch
+    stops as soon as a completed row misses it."""
     nv = n * n
     out = []
 
@@ -153,7 +154,8 @@ def _magic_monomial_space(n: int, r: int) -> list[tuple[int, ...]]:
             return
         for v in range(remaining, -1, -1):
             prefix.append(v)
-            rec(pos + 1, remaining - v, prefix)
+            if (pos + 1) % n or sum(prefix[pos + 1 - n:]) == r:
+                rec(pos + 1, remaining - v, prefix)
             prefix.pop()
 
     if nv == 1:
@@ -184,7 +186,7 @@ def invariant_ring_dimension_check(n: int, r: int, **caps) -> bool:
     space = _magic_monomial_space(n, r)
     sp_index = {e: i for i, e in enumerate(space)}
     stacked = []
-    for gen in _perm_generators(n):
+    for gen in perm_generators(n):
         row_map = {}
         col_map = {}
         for e in space:
@@ -206,17 +208,6 @@ def invariant_ring_dimension_check(n: int, r: int, **caps) -> bool:
             f"invariant dimension mismatch: {len(reps)} orbit representatives"
             f" vs fixed-space dimension {fixed_dim}")
     return True
-
-
-def _perm_generators(n: int) -> list[list[int]]:
-    if n < 2:
-        return []
-    swap = list(range(n))
-    swap[0], swap[1] = swap[1], swap[0]
-    gens = [swap]
-    if n > 2:
-        gens.append([(i + 1) % n for i in range(n)])
-    return gens
 
 
 def trace_like_invariance_check(n: int, j: int, trials: int = 5,

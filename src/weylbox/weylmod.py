@@ -3,11 +3,16 @@
 The model realizes the irreducible GL_n representation labelled by lam as the
 span of column-minor products e_T inside C[Z], Z an n x n matrix of
 variables, with the action (g . f)(Z) = f(Z g). The semistandard e_T form a
-basis; group elements act by exact linear substitution followed by an exact
-linear solve against that basis. On top of the models sit the fixed-subspace
-solvers: invariants of the permanent stabilizer, the symmetry
-characterizations of the determinant and the permanent, and the concrete
-irreducibility criterion used for the permanent's stability check.
+basis. A group element g is scaled to an integer matrix G = D g; since e_T
+is homogeneous of degree |lam|, g acts as G does times D^-|lam|. By
+Cauchy-Binet the minor of Z G on the first l rows and a column set c is
+sum_S det Z[rows, S] det G[S, c] over the l-subsets S, so e_T(Z G) is a
+product of integer factor polynomials, one per distinct column set, and the
+basis is the case G = I. An exact integer solve against the basis then gives
+the action matrix. On top of the models sit the fixed-subspace solvers:
+invariants of the permanent stabilizer, the symmetry characterizations of
+the determinant and the permanent, and the concrete irreducibility
+criterion used for the permanent's stability check.
 """
 
 from __future__ import annotations
@@ -16,6 +21,8 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add
 
 from . import linalg
 from .config import DEFAULT, BudgetError
@@ -84,19 +91,13 @@ class MultiPoly:
         out: dict[tuple[int, ...], object] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 v = out.get(e, 0) + c1 * c2
                 if v:
                     out[e] = v
                 else:
                     out.pop(e, None)
         return MultiPoly(self.nvars, out)
-
-    def pow(self, k: int) -> "MultiPoly":
-        result = MultiPoly.constant(self.nvars, 1)
-        for _ in range(k):
-            result = result * self
-        return result
 
     def derivative(self, idx: int) -> "MultiPoly":
         out = {}
@@ -106,22 +107,6 @@ class MultiPoly:
                 ne[idx] -= 1
                 out[tuple(ne)] = c * e[idx]
         return MultiPoly(self.nvars, out)
-
-    def compose_linear(self, images: list["MultiPoly"]) -> "MultiPoly":
-        """Substitute variable t by images[t] (all linear or not, exact)."""
-        result = MultiPoly(self.nvars)
-        power_cache: dict[tuple[int, int], MultiPoly] = {}
-        for e, c in self.terms.items():
-            term = MultiPoly.constant(self.nvars, c)
-            for t, k in enumerate(e):
-                if k == 0:
-                    continue
-                key = (t, k)
-                if key not in power_cache:
-                    power_cache[key] = images[t].pow(k)
-                term = term * power_cache[key]
-            result = result + term
-        return result
 
     def permute_variables(self, perm: list[int]) -> "MultiPoly":
         """Exponent of variable t moves to perm[t]."""
@@ -200,19 +185,80 @@ def minor(n: int, rows: list[int], cols: list[int]) -> MultiPoly:
     return MultiPoly(nv, out)
 
 
+def _int_minor(G: list[list[int]], rows: tuple[int, ...],
+               cols: tuple[int, ...], memo: dict) -> int:
+    """det G[rows, cols] by Laplace expansion along the last column, with
+    every smaller minor kept in memo."""
+    if not cols:
+        return 1
+    key = (rows, cols)
+    value = memo.get(key)
+    if value is None:
+        last, rest = cols[-1], cols[:-1]
+        value = 0
+        top = len(rows) - 1
+        for k, r in enumerate(rows):
+            if G[r][last]:
+                term = G[r][last] * _int_minor(G, rows[:k] + rows[k + 1:],
+                                               rest, memo)
+                value += -term if (top - k) % 2 else term
+        memo[key] = value
+    return value
+
+
+def _column_minor_products(n: int, tableaux,
+                           G: list[list[int]] | None = None) -> list[MultiPoly]:
+    """e_T(Z G) for each tableau T, with G an integer matrix (None for the
+    identity, which gives the e_T themselves).
+
+    The factor of a column c is the minor of Z G on the first len(c) rows
+    and the columns c, which Cauchy-Binet writes as
+    sum_S det Z[rows, S] det G[S, c] over the len(c)-subsets S. Distinct S
+    give disjoint monomials, so the factor is built without cancellation.
+    Each distinct column set is expanded once and shared by every tableau.
+    """
+    nv = n * n
+    z_minors: dict[tuple[int, ...], MultiPoly] = {}
+    g_minors: dict = {}
+    factors: dict[tuple[int, ...], MultiPoly] = {}
+
+    def z_minor(cols: tuple[int, ...]) -> MultiPoly:
+        if cols not in z_minors:
+            z_minors[cols] = minor(n, list(range(len(cols))), list(cols))
+        return z_minors[cols]
+
+    def factor(cols: tuple[int, ...]) -> MultiPoly:
+        if G is None:
+            return z_minor(cols)
+        terms = {}
+        for S in itertools.combinations(range(n), len(cols)):
+            d = _int_minor(G, S, cols, g_minors)
+            if d:
+                for e, c in z_minor(S).terms.items():
+                    terms[e] = d * c
+        return MultiPoly(nv, terms)
+
+    out = []
+    for T in tableaux:
+        poly = MultiPoly.constant(nv, 1)
+        for col in T.columns():
+            cols = tuple(e - 1 for e in col)
+            if cols not in factors:
+                factors[cols] = factor(cols)
+            poly = poly * factors[cols]
+            if poly.is_zero():
+                break
+        out.append(poly)
+    return out
+
+
 def deruyts_generator(T: Tableau, n: int) -> MultiPoly:
     """The polynomial e_T: product over columns c of T of the minor of Z on
     the first len(c) rows and the columns named by c's entries. Zero exactly
     when some column repeats an entry."""
     if any(e > n for row in T.rows for e in row):
         raise ValueError(f"tableau entries must lie in 1..{n}")
-    result = MultiPoly.constant(n * n, 1)
-    for col in T.columns():
-        l = len(col)
-        result = result * minor(n, list(range(l)), [e - 1 for e in col])
-        if result.is_zero():
-            break
-    return result
+    return _column_minor_products(n, [T])[0]
 
 
 @dataclass(frozen=True)
@@ -269,7 +315,7 @@ def weyl_module(lam: Partition, n: int,
     if dim > dim_cap:
         raise BudgetError(f"dim {dim} exceeds cap {dim_cap}")
     tableaux = tuple(enumerate_ssyt(lam, n))
-    basis = tuple(deruyts_generator(T, n) for T in tableaux)
+    basis = tuple(_column_minor_products(n, tableaux))
     monomials = tuple(sorted({e for p in basis for e in p.terms}))
     model = WeylModuleModel(lam, n, tableaux, basis, monomials)
     if dim != len(tableaux):
@@ -285,29 +331,25 @@ def weyl_module(lam: Partition, n: int,
 def group_action_matrix(M: WeylModuleModel, g) -> tuple[tuple[Fraction, ...], ...]:
     """Matrix of f(Z) -> f(Z g) in the e_T basis; column T holds the
     coordinates of the transformed e_T. Exact, and a homomorphism:
-    matrix(gh) = matrix(g) matrix(h)."""
+    matrix(gh) = matrix(g) matrix(h).
+
+    g is scaled to the integer matrix G = D g. Every e_T is homogeneous of
+    degree |lam|, so e_T(Z g) = D^-|lam| e_T(Z G): the solve runs on
+    integers and only its result is scaled back.
+    """
     n = M.n
     g = [[Fraction(x) for x in row] for row in g]
     if len(g) != n or any(len(row) != n for row in g):
         raise ValueError(f"group element must be {n}x{n}")
     if linalg.det(g) == 0:
         raise ValueError("singular matrix cannot act on the module")
-    nv = n * n
-    images = [MultiPoly(nv) for _ in range(nv)]
-    for i in range(n):
-        for j in range(n):
-            # z_ij -> sum_k z_ik g[k][j]
-            terms = {}
-            for k in range(n):
-                if g[k][j]:
-                    expo = [0] * nv
-                    expo[_var(n, i, k)] = 1
-                    terms[tuple(expo)] = g[k][j]
-            images[_var(n, i, j)] = MultiPoly(nv, terms)
-    transformed = [p.compose_linear(images) for p in M.basis]
-    X = M.coordinates_of(transformed)
-    dim = M.dimension
-    return tuple(tuple(X[r][c] for c in range(dim)) for r in range(dim))
+    D = lcm(*(x.denominator for row in g for x in row))
+    G = [[x.numerator * (D // x.denominator) for x in row] for row in g]
+    X = M.coordinates_of(_column_minor_products(n, M.tableaux, G))
+    if D == 1:
+        return tuple(map(tuple, X))
+    scale = Fraction(1, D ** M.lam.size)
+    return tuple(tuple(x * scale if x else x for x in row) for row in X)
 
 
 def permutation_matrix(n: int, perm: list[int]) -> list[list[Fraction]]:
@@ -318,17 +360,22 @@ def permutation_matrix(n: int, perm: list[int]) -> list[list[Fraction]]:
     return mat
 
 
-def symmetric_group_generators(n: int) -> list[list[list[Fraction]]]:
-    """Permutation matrices generating S_n (plain 0/1 lift into GL_n)."""
+def perm_generators(n: int) -> list[list[int]]:
+    """Generators of S_n as image lists: the swap (0 1) and, for n > 2, the
+    cycle i -> i + 1 mod n."""
     if n < 2:
         return []
     swap = list(range(n))
     swap[0], swap[1] = swap[1], swap[0]
-    cycle = [(i + 1) % n for i in range(n)]
-    gens = [permutation_matrix(n, swap)]
+    gens = [swap]
     if n > 2:
-        gens.append(permutation_matrix(n, cycle))
+        gens.append([(i + 1) % n for i in range(n)])
     return gens
+
+
+def symmetric_group_generators(n: int) -> list[list[list[Fraction]]]:
+    """Permutation matrices generating S_n (plain 0/1 lift into GL_n)."""
+    return [permutation_matrix(n, perm) for perm in perm_generators(n)]
 
 
 def highest_weight_vector(M: WeylModuleModel) -> int:
@@ -560,7 +607,7 @@ def symmetry_characterization_space(kind: str, size: int) -> tuple[int, list[Mul
              and len(set(_row_col_degrees(e, m)[1])) == 1]
     basis = [{e: 1} for e in monos]
     substitutions = []
-    for gen in _perm_group_generators(m):
+    for gen in perm_generators(m):
         row_perm = [_var(m, gen[t // m], t % m) for t in range(nv)]
         col_perm = [_var(m, t // m, gen[t % m]) for t in range(nv)]
         substitutions.append(row_perm)
@@ -575,17 +622,6 @@ def symmetry_characterization_space(kind: str, size: int) -> tuple[int, list[Mul
         operators.append(op)
     result = _kernel_intersection(basis, operators)
     return len(result), [_poly_from_sparse(nv, v) for v in result]
-
-
-def _perm_group_generators(n: int) -> list[list[int]]:
-    if n < 2:
-        return []
-    swap = list(range(n))
-    swap[0], swap[1] = swap[1], swap[0]
-    gens = [swap]
-    if n > 2:
-        gens.append([(i + 1) % n for i in range(n)])
-    return gens
 
 
 def symmetry_characterization_dim(kind: str, size: int) -> int:
@@ -645,7 +681,7 @@ def kempf_irreducibility_check(n: int) -> KempfResult:
                 distinct = False
 
     # transitivity of S_n x S_n on the coordinate grid, by orbit growth
-    gens = _perm_group_generators(n)
+    gens = perm_generators(n)
     orbit = {(0, 0)}
     frontier = [(0, 0)]
     while frontier:

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylbox import linalg
 from weylbox.config import BudgetError
@@ -16,6 +17,43 @@ from weylbox.weylmod import (MultiPoly, deruyts_generator,
                              symmetry_characterization_space, weyl_module)
 
 P = Partition
+
+
+def literal_pow(p, k):
+    result = MultiPoly.constant(p.nvars, 1)
+    for _ in range(k):
+        result = result * p
+    return result
+
+
+def compose_linear(p, images):
+    """Reference substitution: variable t of p becomes images[t], expanded
+    monomial by monomial."""
+    result = MultiPoly(p.nvars)
+    powers = {}
+    for e, c in p.terms.items():
+        term = MultiPoly.constant(p.nvars, c)
+        for t, k in enumerate(e):
+            if k:
+                if (t, k) not in powers:
+                    powers[t, k] = literal_pow(images[t], k)
+                term = term * powers[t, k]
+        result = result + term
+    return result
+
+
+def literal_action_matrix(M, g):
+    """Coordinates of every e_T(Z g), with Z g substituted literally:
+    z_ij -> sum_k z_ik g[k][j]."""
+    n, nv = M.n, M.n * M.n
+    images = []
+    for i in range(n):
+        for j in range(n):
+            images.append(MultiPoly(nv, {
+                tuple(int(t == i * n + k) for t in range(nv)): F(g[k][j])
+                for k in range(n)}))
+    X = M.coordinates_of([compose_linear(p, images) for p in M.basis])
+    return tuple(tuple(row) for row in X)
 
 
 def rand_invertible(n, rng):
@@ -113,6 +151,55 @@ class TestAction:
                 expected *= ti ** ci
             assert A[idx][idx] == expected
             assert all(A[r][idx] == 0 for r in range(M.dimension) if r != idx)
+
+
+MODULES = [(lam, n) for n in (1, 2, 3) for size in range(5)
+           for lam in partitions_of(size, max_length=n)]
+entry = st.builds(F, st.integers(-4, 4), st.integers(1, 4))
+
+
+def group_elements(n):
+    """Invertible rational n x n matrices: dense with denominators up to 4,
+    permutation matrices, and diagonal matrices."""
+    dense = st.lists(st.lists(entry, min_size=n, max_size=n),
+                     min_size=n, max_size=n).filter(
+                         lambda g: linalg.det(g) != 0)
+    perm = st.permutations(range(n)).map(
+        lambda p: permutation_matrix(n, list(p)))
+    diag = st.lists(entry.filter(bool), min_size=n, max_size=n).map(
+        lambda d: [[d[i] if i == j else F(0) for j in range(n)]
+                   for i in range(n)])
+    return st.one_of(dense, perm, diag)
+
+
+def module_with(count):
+    return st.sampled_from(MODULES).flatmap(
+        lambda case: st.tuples(st.just(case),
+                               *[group_elements(case[1])] * count))
+
+
+class TestActionAgainstSubstitution:
+    @given(module_with(1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_literal_substitution(self, drawn):
+        (lam, n), g = drawn
+        M = weyl_module(lam, n)
+        assert group_action_matrix(M, g) == literal_action_matrix(M, g)
+
+    @given(module_with(2))
+    @settings(max_examples=40, deadline=None)
+    def test_homomorphism(self, drawn):
+        (lam, n), g, h = drawn
+        M = weyl_module(lam, n)
+        Agh = group_action_matrix(M, linalg.mat_mul(g, h))
+        prod = linalg.mat_mul(group_action_matrix(M, g),
+                              group_action_matrix(M, h))
+        assert [list(r) for r in Agh] == prod
+
+    def test_literal_reference(self):
+        M = weyl_module(P((1, 1)), 2)
+        g = [[F(1), F(2)], [F(3), F(4)]]
+        assert literal_action_matrix(M, g) == ((F(-2),),)
 
 
 class TestHighestWeight:
