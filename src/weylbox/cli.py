@@ -20,9 +20,7 @@ from .kronecker import det_stabilizer_invariant_mult, g_stretch, kronecker
 from .lr import (LRQuery, OracleMismatchError, _skew_lr_count, lr_coefficient,
                  lr_positive, lr_stretch)
 from .obstructions import (basic_invariant_poly, emit_obstruction_family,
-                           enumerate_magic_squares,
-                           magic_orbit_representatives, read_certificates,
-                           verify_obstruction)
+                           magic_orbits, read_certificates, verify_obstruction)
 from .partitions import Partition, dim_weyl
 from .polytope import (ParamPolytope, count_integer_points, ehrhart_counts,
                        fit_quasipolynomial)
@@ -250,13 +248,10 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets) -> dict:
         return _symcheck_payload(args.kind, args.size)
 
     if cmd == "magic":
-        squares, orbits = enumerate_magic_squares(
+        squares, reps = magic_orbits(
             args.n, args.r, size_cap=budgets.magic_size_cap,
             weight_cap=budgets.magic_weight_cap)
-        payload = {"count": len(squares), "orbits": orbits}
-        reps = magic_orbit_representatives(
-            args.n, args.r, size_cap=budgets.magic_size_cap,
-            weight_cap=budgets.magic_weight_cap)
+        payload = {"count": len(squares), "orbits": len(reps)}
         payload["representatives"] = [[list(row) for row in rep.entries]
                                       for rep in reps]
         if args.polys:

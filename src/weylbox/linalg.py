@@ -9,19 +9,17 @@ exact arithmetic. No floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def _primitive_int_row(row) -> list[int]:
-    """Scale a rational row to a primitive integer row (gcd 1, or all zero)."""
+    """Scale a row of ints (bools included) and Fractions to a primitive
+    integer row (gcd 1, or all zero)."""
     if all(type(x) is int for x in row):
         ints = list(row)
     else:
-        fracs = [Fraction(x) for x in row]
-        den = 1
-        for x in fracs:
-            den = den * x.denominator // gcd(den, x.denominator)
-        ints = [int(x * den) for x in fracs]
+        den = lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (den // x.denominator) for x in row]
     g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]

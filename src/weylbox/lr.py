@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 from .config import DEFAULT, BudgetError
 from .partitions import Partition
-from .polytope import (Polytope, QuasiPolynomial, count_integer_points,
-                       feasible, fit_quasipolynomial)
+from .polytope import (ParamPolytope, Polytope, QuasiPolynomial,
+                       count_integer_points, ehrhart_counts, feasible,
+                       fit_quasipolynomial)
 
 
 class OracleMismatchError(RuntimeError):
@@ -207,9 +208,9 @@ def lr_stretch(q: LRQuery, K: int, max_period: int | None = None,
                side_cap: int | None = None) -> StretchSeries:
     """Counts at the k-scaled query for k = 1..K, with a quasi-polynomial fit.
 
-    The k-scaled hive polytope must coincide with the k-dilation of the
-    unscaled one (same matrix, right-hand side scaled by k); this structural
-    identity is asserted, not assumed.
+    The k-scaled hive polytope is the k-dilation of the unscaled one (same
+    matrix, right-hand side times k; see ``hive_polytope``), so one hive is
+    built and its dilations are counted as an Ehrhart family.
     """
     if K < 4:
         raise ValueError("need K >= 4 for a meaningful stretch series")
@@ -224,13 +225,7 @@ def lr_stretch(q: LRQuery, K: int, max_period: int | None = None,
     if not q.sizes_match():
         raise ValueError("size mismatch in stretch query")
 
-    base = hive_polytope(q, side_cap=side_cap)
-    values = []
-    for k in range(1, K + 1):
-        Pk = hive_polytope(q.scale(k), side_cap=side_cap)
-        if Pk.A != base.A or Pk.b != base.dilate(k).b:
-            raise RuntimeError(
-                f"hive dilation identity violated at k={k}")  # bug guard
-        values.append(count_integer_points(Pk))
+    hive = hive_polytope(q, side_cap=side_cap)
+    values = ehrhart_counts(ParamPolytope(hive.A, hive.b, (0,) * len(hive.b)), K)
     fit = fit_quasipolynomial(values, max_period, max_degree, holdout)
-    return StretchSeries(q, tuple(values), fit)
+    return StretchSeries(q, values, fit)

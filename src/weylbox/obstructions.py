@@ -51,15 +51,10 @@ class MagicSquare:
 
     def canonical_form(self) -> tuple[tuple[int, ...], ...]:
         """Lexicographically minimal matrix in the row/column permutation
-        orbit."""
-        best = None
-        for rp in itertools.permutations(range(self.n)):
-            rows = [self.entries[i] for i in rp]
-            for cp in itertools.permutations(range(self.n)):
-                cand = tuple(tuple(row[j] for j in cp) for row in rows)
-                if best is None or cand < best:
-                    best = cand
-        return best
+        orbit. For a fixed row order the least column order sorts the
+        columns, so only the n! row orders need to be tried."""
+        return min(tuple(zip(*sorted(zip(*rows))))
+                   for rows in itertools.permutations(self.entries))
 
     def orbit(self) -> set[tuple[tuple[int, ...], ...]]:
         out = set()
@@ -70,12 +65,12 @@ class MagicSquare:
         return out
 
 
-def enumerate_magic_squares(n: int, r: int,
-                            size_cap: int | None = None,
-                            weight_cap: int | None = None
-                            ) -> tuple[list[MagicSquare], int]:
-    """All n x n magic squares of weight r plus the number of orbits under
-    row/column permutations (canonical-form counting)."""
+def magic_orbits(n: int, r: int, size_cap: int | None = None,
+                 weight_cap: int | None = None
+                 ) -> tuple[list[MagicSquare], list[MagicSquare]]:
+    """All n x n magic squares of weight r, and one representative per orbit
+    under row/column permutations: the sorted distinct canonical forms, each
+    computed once per square."""
     if size_cap is None:
         size_cap = DEFAULT.magic_size_cap
     if weight_cap is None:
@@ -112,14 +107,22 @@ def enumerate_magic_squares(n: int, r: int,
         squares.append(MagicSquare(1, ((r,),)))
     else:
         fill(0)
-    orbits = {sq.canonical_form() for sq in squares}
-    return squares, len(orbits)
+    forms = sorted({sq.canonical_form() for sq in squares})
+    return squares, [MagicSquare(n, f) for f in forms]
+
+
+def enumerate_magic_squares(n: int, r: int,
+                            size_cap: int | None = None,
+                            weight_cap: int | None = None
+                            ) -> tuple[list[MagicSquare], int]:
+    """All n x n magic squares of weight r plus the number of orbits under
+    row/column permutations (canonical-form counting)."""
+    squares, reps = magic_orbits(n, r, size_cap, weight_cap)
+    return squares, len(reps)
 
 
 def magic_orbit_representatives(n: int, r: int, **caps) -> list[MagicSquare]:
-    squares, _ = enumerate_magic_squares(n, r, **caps)
-    forms = sorted({sq.canonical_form() for sq in squares})
-    return [MagicSquare(n, f) for f in forms]
+    return magic_orbits(n, r, **caps)[1]
 
 
 def basic_invariant_poly(A: MagicSquare) -> MultiPoly:

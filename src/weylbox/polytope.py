@@ -2,23 +2,26 @@
 and quasi-polynomial fitting of parametrized counting sequences.
 
 There is no floating point in this module. ``fractions.Fraction`` is the
-boundary type: inputs, ``Polytope`` and ``QuasiPolynomial`` data and returned
-values. The three inner loops run on Python integers instead: linear
-programs go through a fraction-free (integer-pivoting) simplex with Bland's
-rule, integer points are counted by a DFS over integer-scaled rows, and each
-residue class of a quasi-polynomial fit is interpolated over one common
-denominator. Feasibility, optimality and counting answers are exact.
+boundary type: inputs, ``Polytope``, ``ParamPolytope`` and
+``QuasiPolynomial`` data and returned values. Inside, every constraint is a
+primitive integer row and the inner loops run on Python integers: a family
+{x : Ax <= k*b + c} is reduced once for every k (``_Reduced``) and only its
+right-hand side is rescaled per k, linear programs go through one
+fraction-free simplex with Bland's rule, integer points are counted by a DFS
+over the reduced rows, and each residue class of a quasi-polynomial fit is
+interpolated over one common denominator. Answers are exact.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, lcm
+from functools import cached_property
+from math import lcm
+from operator import mul, neg
 from typing import Sequence
 
-from .linalg import echelon
+from .linalg import _primitive_int_row, echelon
 
 
 class InfeasibleError(ValueError):
@@ -38,7 +41,7 @@ class FitError(ValueError):
 
 
 def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    return x if type(x) is Fraction else Fraction(x)
 
 
 def format_rational(x: Fraction) -> str:
@@ -131,14 +134,6 @@ class ParamPolytope:
 # exact simplex
 # ---------------------------------------------------------------------------
 
-def _int_row(row, rhs) -> list[int]:
-    """The row with its rhs appended, scaled to integers by the lcm of their
-    denominators (a positive factor, so the constraint is unchanged)."""
-    L = lcm(rhs.denominator, *(a.denominator for a in row))
-    return [a.numerator * (L // a.denominator) for a in row] + \
-        [rhs.numerator * (L // rhs.denominator)]
-
-
 def _simplex(A, b, c) -> tuple[str, Fraction | None]:
     """min c.x subject to Ax <= b with x free.
 
@@ -148,8 +143,8 @@ def _simplex(A, b, c) -> tuple[str, Fraction | None]:
     pivot choice deterministic and precludes cycling.
 
     The tableau is fraction-free (Edmonds 1967; Bareiss 1968): every row is
-    scaled to integers and the true tableau is T / D for one common
-    denominator D > 0. A pivot on p = T[r][j] maps each other row to
+    scaled to a primitive integer row and the true tableau is T / D for one
+    common denominator D > 0. A pivot on p = T[r][j] maps each other row to
     (p*T[i] - T[i][j]*T[r]) // D and sets D = p; by Sylvester's identity the
     division is exact, since every entry is a minor of the initial integer
     tableau. The objective row rides along as one more such row.
@@ -158,7 +153,7 @@ def _simplex(A, b, c) -> tuple[str, Fraction | None]:
     n = len(c)
     # columns: u_0..u_{n-1}, v_0..v_{n-1}, slacks s_0..s_{m-1},
     # artificials, then the rhs
-    scaled = [_int_row(row, rhs) for row, rhs in zip(A, b)]
+    scaled = [_primitive_int_row([*row, rhs]) for row, rhs in zip(A, b)]
     art_rows = [i for i in range(m) if scaled[i][n] < 0]
     ncols = 2 * n + m + len(art_rows)
     rows = []
@@ -257,154 +252,46 @@ def _simplex(A, b, c) -> tuple[str, Fraction | None]:
 def feasible(P: Polytope) -> bool:
     """Exact emptiness test for {x : Ax <= b}.
 
-    Paired <=/>= rows are eliminated exactly first; the survivors go to the
-    exact-pivot simplex.
+    The equalities are eliminated exactly first (``_Reduced``); the
+    surviving rows go to the exact-pivot simplex.
     """
-    if not P.A:
-        return True
-    red = _Reduced(P)
-    if red.infeasible:
-        return False
-    Q = red.poly
-    if not Q.A:
-        return True
-    status, _ = _simplex(Q.A, Q.b, [0] * Q.dim)
-    return status != "infeasible"
+    red = _Reduced(P.A, P.b)
+    rhs = red.rhs(1)
+    return rhs is not None and \
+        _simplex(red.A, rhs, [0] * len(red.free))[0] != "infeasible"
 
 
-# ---------------------------------------------------------------------------
-# equality detection and elimination (used to shrink systems before counting)
-# ---------------------------------------------------------------------------
-
-def _split_equalities(P: Polytope):
-    """Detect rows that occur as +/- pairs; return (equalities, inequalities).
-
-    Each equality is (coeffs, rhs); inequalities keep the (row, rhs) form.
-    """
-    seen = {}
-    eq = []
-    ineq_idx = set(range(len(P.A)))
-    for i, (row, rhs) in enumerate(zip(P.A, P.b)):
-        key = (row, rhs)
-        neg = (tuple(-x for x in row), -rhs)
-        if neg in seen and seen[neg] in ineq_idx and i in ineq_idx:
-            j = seen[neg]
-            eq.append((row, rhs))
-            ineq_idx.discard(i)
-            ineq_idx.discard(j)
-        else:
-            seen.setdefault(key, i)
-    ineqs = [(P.A[i], P.b[i]) for i in sorted(ineq_idx)]
-    return eq, ineqs
-
-
-class _Reduced:
-    """Result of eliminating paired equalities from a polytope.
-
-    ``free`` lists the surviving coordinates; ``integral`` tells whether a
-    free-coordinate point lifts to an integer point of the original space.
-    ``infeasible`` is set when the equality system itself is contradictory.
-    """
-
-    def __init__(self, P: Polytope):
-        n = P.dim
-        eqs, ineqs = _split_equalities(P)
-        self.infeasible = False
-        if not eqs:
-            self.free = list(range(n))
-            self.poly = P
-            self._pivots = []
-            self._rows = []
-            self._n = n
-            return
-        rows = [list(row) + [rhs] for row, rhs in eqs]
-        reduced, pivots = echelon(rows, n + 1)
-        if n in pivots:
-            self.infeasible = True
-            self.free = []
-            self.poly = Polytope((), ())
-            self._pivots = []
-            self._rows = []
-            self._n = n
-            return
-        pivot_set = set(pivots)
-        self.free = [c for c in range(n) if c not in pivot_set]
-        self._pivots = pivots
-        self._rows = reduced
-        self._n = n
-        # substitute pinned coordinates into the inequalities
-        sub = {}  # pivot col -> (const, {free col: coeff})
-        for row, pc in zip(reduced, pivots):
-            piv = Fraction(row[pc])
-            const = Fraction(row[n]) / piv
-            lin = {c: Fraction(-row[c]) / piv for c in self.free if row[c]}
-            sub[pc] = (const, lin)
-        new_rows = []
-        new_rhs = []
-        for row, rhs in ineqs:
-            acc = {c: Fraction(0) for c in self.free}
-            const = Fraction(0)
-            for c, a in enumerate(row):
-                if a == 0:
-                    continue
-                if c in sub:
-                    c0, lin = sub[c]
-                    const += a * c0
-                    for fc, coef in lin.items():
-                        acc[fc] += a * coef
-                else:
-                    acc[c] += a
-            vec = tuple(acc[c] for c in self.free)
-            new_rhs_val = rhs - const
-            if any(vec):
-                new_rows.append(vec)
-                new_rhs.append(new_rhs_val)
-            elif new_rhs_val < 0:
-                self.infeasible = True
-        self.poly = Polytope(tuple(new_rows), tuple(new_rhs))
-
-    def integral(self, free_point) -> bool:
-        """Whether the lift of an integer free-coordinate point is integral.
-
-        Each echelon row is an integer row with pivot p in a pinned column,
-        so that coordinate is (row[n] - sum row[fc] * x_fc) / p.
-        """
-        n = self._n
-        return all((row[n] - sum(row[fc] * v for fc, v in zip(self.free, free_point)))
-                   % row[pc] == 0
-                   for row, pc in zip(self._rows, self._pivots))
-
-
-def _coordinate_bounds(P: Polytope, i: int) -> tuple[Fraction, Fraction]:
-    """Exact (min, max) of x_i over P; raises on unbounded or infeasible."""
-    cost = [0] * P.dim
+def _coordinate_bounds(A, b, n: int, i: int) -> tuple[Fraction, Fraction]:
+    """Exact (min, max) of x_i over {x in Q^n : Ax <= b}; raises on
+    unbounded or infeasible."""
+    cost = [0] * n
     cost[i] = 1
-    status, lo = _simplex(P.A, P.b, cost)
+    status, lo = _simplex(A, b, cost)
     if status == "infeasible":
         raise InfeasibleError("empty polytope")
     if status == "unbounded":
         raise UnboundedPolytopeError("unbounded polytope")
     cost[i] = -1
-    status, neghi = _simplex(P.A, P.b, cost)
+    status, neghi = _simplex(A, b, cost)
     if status == "unbounded":
         raise UnboundedPolytopeError("unbounded polytope")
     return lo, -neghi
 
 
-def _propagated_box(A, b, nvars: int, rounds: int | None = None):
-    """Sound per-coordinate intervals by fixpoint interval propagation.
+def _propagated_box(A, b, nvars: int):
+    """Sound per-coordinate intervals of {x : Ax <= b}, for integer rows and
+    right-hand sides, by fixpoint interval propagation.
 
     Returns (status, boxes) with status "empty" when some interval became
     contradictory; entries of boxes are (lo, hi) with None for an unknown
-    (possibly infinite) side. Bounds are valid but not necessarily tight.
+    (possibly infinite) side. Bounds are exact rationals, kept as int while
+    they are integral, and valid but not necessarily tight.
     """
-    if rounds is None:
-        rounds = 3 * nvars + 6
-    lo: list[Fraction | None] = [None] * nvars
-    hi: list[Fraction | None] = [None] * nvars
-    rows = [(tuple(row), rhs, [j for j, a in enumerate(row) if a != 0])
+    lo: list = [None] * nvars
+    hi: list = [None] * nvars
+    rows = [(row, rhs, [j for j, a in enumerate(row) if a])
             for row, rhs in zip(A, b)]
-    for _ in range(rounds):
+    for _ in range(3 * nvars + 6):
         changed = False
         for row, rhs, support in rows:
             for j in support:
@@ -422,16 +309,17 @@ def _propagated_box(A, b, nvars: int, rounds: int | None = None):
                     residual -= at * bound
                 if not ok:
                     continue
+                if type(residual) is int and residual % aj == 0:
+                    cand = residual // aj
+                else:
+                    cand = Fraction(residual, aj)
                 if aj > 0:
-                    cand = residual / aj
                     if hi[j] is None or cand < hi[j]:
                         hi[j] = cand
                         changed = True
-                else:
-                    cand = residual / aj
-                    if lo[j] is None or cand > lo[j]:
-                        lo[j] = cand
-                        changed = True
+                elif lo[j] is None or cand > lo[j]:
+                    lo[j] = cand
+                    changed = True
         if not changed:
             break
     for j in range(nvars):
@@ -440,96 +328,209 @@ def _propagated_box(A, b, nvars: int, rounds: int | None = None):
     return "ok", list(zip(lo, hi))
 
 
-def count_integer_points(P: Polytope) -> int:
-    """Exact |P ∩ Z^n| for a bounded P, by bounding box plus DFS with
-    constraint propagation. Raises UnboundedPolytopeError when some
-    coordinate has no finite range.
+# ---------------------------------------------------------------------------
+# the integer core: a family {x : Ax <= k*b + c}, reduced once for every k
+# ---------------------------------------------------------------------------
 
-    The DFS runs on integers: every row is scaled to integers, the box
-    shrinks to (ceil lo, floor hi), and the bound a row puts on a coordinate
-    is a floor division, exact because the coordinate is integral."""
-    red = _Reduced(P)
-    if red.infeasible:
-        return 0
-    Q = red.poly
-    nfree = len(red.free)
-    if nfree == 0:
-        if any(rhs < 0 for rhs in Q.b):
-            return 0  # a surviving row reads 0 <= negative
-        return int(red.integral(()))
-    status, boxes = _propagated_box(Q.A, Q.b, nfree)
-    if status == "empty":
-        return 0
-    if any(lo is None or hi is None for lo, hi in boxes):
-        # propagation could not certify boundedness: decide exactly by LP
-        if not feasible(Q):
-            return 0
-        boxes = [(lo, hi) if lo is not None and hi is not None
-                 else _coordinate_bounds(Q, i)
-                 for i, (lo, hi) in enumerate(boxes)]
-    box = [(ceil(lo), floor(hi)) for lo, hi in boxes]
-    if any(lo > hi for lo, hi in box):
-        return 0
+def _split_equalities(rows):
+    """Split primitive integer rows into equalities (one row of each +/- pair)
+    and the rows left over. Primitive rows make a pair whatever positive
+    multiples of each other its two rows were given as."""
+    unpaired: dict[tuple[int, ...], list[int]] = {}
+    eqs, paired = [], set()
+    for i, row in enumerate(rows):
+        partners = unpaired.get(tuple(map(neg, row)))
+        if partners:
+            paired.update((i, partners.pop()))
+            eqs.append(row)
+        else:
+            unpaired.setdefault(row, []).append(i)
+    return eqs, [row for i, row in enumerate(rows) if i not in paired]
 
-    A, b = [], []
-    for row, rhs in zip(Q.A, Q.b):
-        *coeffs, bound = _int_row(row, rhs)
-        if any(coeffs):
-            A.append(coeffs)
-            b.append(bound)
-        elif bound < 0:
-            return 0  # an all-zero row reads 0 <= negative
-    m = len(A)
-    # tail_min[r][d] = minimum of sum_{j >= d} A[r][j] * x_j over the box
-    tail_min = [[0] * (nfree + 1) for _ in range(m)]
-    for r in range(m):
-        for d in range(nfree - 1, -1, -1):
-            a = A[r][d]
-            tail_min[r][d] = tail_min[r][d + 1] + min(a * box[d][0], a * box[d][1])
-    # per depth, the rows that constrain that coordinate: (row, coeff, tail)
-    at_depth = [[(r, A[r][d], tail_min[r][d + 1]) for r in range(m) if A[r][d]]
-                for d in range(nfree)]
-    partial = [0] * m
-    point = [0] * nfree
-    last = nfree - 1
-    pinned = bool(red._pivots)
-    count = 0
 
-    # The slack bound at a row's last nonzero column is exact (its tail is
-    # empty), so every row holds at every point the DFS reaches: with no
-    # pinned coordinate the last one is counted in closed form.
-    def dfs(d: int):
-        nonlocal count
-        lo, hi = box[d]
-        for r, a, tail in at_depth[d]:
-            slack = b[r] - partial[r] - tail
-            if a > 0:
-                hi = min(hi, slack // a)
+def _substitute(row, pinned) -> tuple[int, ...]:
+    """Eliminate every pinned coordinate from an integer row (a, b, c) with
+    the echelon rows that pin them, scaling by positive factors only."""
+    for prow, pc in pinned:
+        f = row[pc]
+        if f:
+            p = prow[pc]
+            row = [p * x - f * y for x, y in zip(row, prow)]
+            if p < 0:
+                row = [-x for x in row]
+    return tuple(_primitive_int_row(row))
+
+
+class _Reduced:
+    """The family {x : Ax <= k*b + c}, k >= 1, with its equalities
+    eliminated once for every k.
+
+    Each row (a, b, c) is scaled to a primitive integer tuple, so a row and
+    a positive multiple of its negation hash to a +/- pair: an equality
+    a.x = k*b + c. The equalities go to integer echelon form, each echelon
+    row pins one coordinate, and the pinned coordinates are substituted into
+    the other rows; the pair search repeats on the substituted rows until no
+    new pair appears. ``free`` lists the surviving coordinates and ``A``,
+    ``b``, ``c`` their rows. ``consts`` holds (b, c) for each condition
+    0 <= k*b + c left with no coefficient (both sides of an equality that
+    reads 0 = k*b + c among them).
+    """
+
+    def __init__(self, A, b, c=None):
+        n = len(A[0]) if A else 0
+        rows = [tuple(_primitive_int_row([*row, bv, cv]))
+                for row, bv, cv in zip(A, b, c or [0] * len(b))]
+        eqs, reduced, pivots, pinned = [], [], [], []
+        while True:
+            new, rows = _split_equalities(rows)
+            if not new:
+                break
+            eqs += new
+            reduced, pivots = echelon(eqs, n + 2)
+            pinned = [(row, pc) for row, pc in zip(reduced, pivots) if pc < n]
+            rows = [_substitute(row, pinned) for row in rows]
+        self.free = [j for j in range(n) if j not in pivots]
+        self.consts = []
+        for row, pc in zip(reduced, pivots):
+            if pc >= n:  # no coordinate left: 0 = k*b + c
+                self.consts += [(row[n], row[n + 1]), (-row[n], -row[n + 1])]
+        self.A, self.b, self.c = [], [], []
+        for row in dict.fromkeys(rows):
+            coeffs = [row[j] for j in self.free]
+            if any(coeffs):
+                self.A.append(coeffs)
+                self.b.append(row[n])
+                self.c.append(row[n + 1])
             else:
-                lo = max(lo, -(slack // -a))
-        if lo > hi:
-            return
-        if d == last:
-            if not pinned:
-                count += hi - lo + 1
+                self.consts.append((row[n], row[n + 1]))
+        # per pinned coordinate: its pivot p, free coefficients and (b, c),
+        # so that p * x_pc = k*b + c - coeffs . x_free
+        self._pins = [(row[pc], [row[j] for j in self.free], row[n], row[n + 1])
+                      for row, pc in pinned]
+
+    def rhs(self, k: int) -> list[int] | None:
+        """The right-hand sides k*b + c of the rows, or None when P(k) is
+        empty because a condition with no coefficient fails at k."""
+        if any(k * bv + cv < 0 for bv, cv in self.consts):
+            return None
+        return [k * bv + cv for bv, cv in zip(self.b, self.c)]
+
+    def _bounds(self, rhs):
+        """Exact (lo, hi) per free coordinate of {x : Ax <= rhs}, or None
+        when that set is empty; raises UnboundedPolytopeError."""
+        nfree = len(self.free)
+        status, boxes = _propagated_box(self.A, rhs, nfree)
+        if status == "empty":
+            return None
+        if any(lo is None or hi is None for lo, hi in boxes):
+            # propagation could not certify boundedness: decide exactly by LP
+            if _simplex(self.A, rhs, [0] * nfree)[0] == "infeasible":
+                return None
+            boxes = [(lo, hi) if lo is not None and hi is not None
+                     else _coordinate_bounds(self.A, rhs, nfree, i)
+                     for i, (lo, hi) in enumerate(boxes)]
+        return boxes
+
+    @cached_property
+    def _unit_bounds(self):
+        return self._bounds(self.b)
+
+    def box(self, k: int, rhs: list[int]) -> list[tuple[int, int]] | None:
+        """The integer box (ceil lo, floor hi) of the free coordinates at k,
+        or None when P(k) is empty. Propagation and the LP bounds are
+        positively homogeneous in the right-hand side, so for c = 0 they are
+        computed once, at k = 1, and the box at k is (ceil(k*lo),
+        floor(k*hi))."""
+        if any(self.c):
+            bounds, scale = self._bounds(rhs), 1
+        else:
+            bounds, scale = self._unit_bounds, k
+        if bounds is None:
+            return None
+        return [(-(-scale * lo.numerator // lo.denominator),
+                 scale * hi.numerator // hi.denominator) for lo, hi in bounds]
+
+    def count(self, k: int) -> int:
+        """|P(k) ∩ Z^n| by bounding box plus DFS with constraint propagation;
+        raises UnboundedPolytopeError when some coordinate has no finite
+        range. The bound a row puts on a coordinate is a floor division,
+        exact because the coordinate is integral, and a free point counts
+        when every pinned coordinate it determines is an integer."""
+        rhs = self.rhs(k)
+        if rhs is None:
+            return 0
+        pins = [(p, coeffs, k * bv + cv) for p, coeffs, bv, cv in self._pins]
+
+        def integral(point) -> bool:
+            return all((r - sum(map(mul, coeffs, point))) % p == 0
+                       for p, coeffs, r in pins)
+
+        nfree = len(self.free)
+        if nfree == 0:
+            return int(integral(()))
+        box = self.box(k, rhs)
+        if box is None or any(lo > hi for lo, hi in box):
+            return 0
+
+        A, b = self.A, rhs
+        m = len(A)
+        # tail_min[r][d] = minimum of sum_{j >= d} A[r][j] * x_j over the box
+        tail_min = [[0] * (nfree + 1) for _ in range(m)]
+        for r in range(m):
+            for d in range(nfree - 1, -1, -1):
+                a = A[r][d]
+                tail_min[r][d] = tail_min[r][d + 1] + min(a * box[d][0], a * box[d][1])
+        # per depth, the rows that constrain that coordinate: (row, coeff, tail)
+        at_depth = [[(r, A[r][d], tail_min[r][d + 1]) for r in range(m) if A[r][d]]
+                    for d in range(nfree)]
+        partial = [0] * m
+        point = [0] * nfree
+        last = nfree - 1
+        pinned = bool(pins)
+        count = 0
+
+        # The slack bound at a row's last nonzero column is exact (its tail is
+        # empty), so every row holds at every point the DFS reaches: with no
+        # pinned coordinate the last one is counted in closed form.
+        def dfs(d: int):
+            nonlocal count
+            lo, hi = box[d]
+            for r, a, tail in at_depth[d]:
+                slack = b[r] - partial[r] - tail
+                if a > 0:
+                    hi = min(hi, slack // a)
+                else:
+                    lo = max(lo, -(slack // -a))
+            if lo > hi:
                 return
+            if d == last:
+                if not pinned:
+                    count += hi - lo + 1
+                    return
+                for v in range(lo, hi + 1):
+                    point[d] = v
+                    if integral(point):
+                        count += 1
+                return
+            rows = at_depth[d]
+            base = [partial[r] for r, _, _ in rows]
             for v in range(lo, hi + 1):
                 point[d] = v
-                if red.integral(point):
-                    count += 1
-            return
-        rows = at_depth[d]
-        base = [partial[r] for r, _, _ in rows]
-        for v in range(lo, hi + 1):
-            point[d] = v
-            for (r, a, _), p0 in zip(rows, base):
-                partial[r] = p0 + a * v
-            dfs(d + 1)
-        for (r, _, _), p0 in zip(rows, base):
-            partial[r] = p0
+                for (r, a, _), p0 in zip(rows, base):
+                    partial[r] = p0 + a * v
+                dfs(d + 1)
+            for (r, _, _), p0 in zip(rows, base):
+                partial[r] = p0
 
-    dfs(0)
-    return count
+        dfs(0)
+        return count
+
+
+def count_integer_points(P: Polytope) -> int:
+    """Exact |P ∩ Z^n| for a bounded P (``_Reduced.count`` at k = 1).
+    Raises UnboundedPolytopeError when some coordinate has no finite
+    range."""
+    return _Reduced(P.A, P.b).count(1)
 
 
 def vertex(P: Polytope) -> tuple[Fraction, ...]:
@@ -569,13 +570,17 @@ def smallest_integral_dilation(P: Polytope) -> tuple[int, tuple[int, ...]]:
 
 
 def ehrhart_counts(PP: ParamPolytope, K: int) -> tuple[int, ...]:
-    """Integer-point counts of PP.at(k) for k = 1..K."""
+    """Integer-point counts of PP.at(k) for k = 1..K.
+
+    The family is reduced once (``_Reduced``); each k only rescales the
+    right-hand side of the reduced rows."""
     if K < 1:
         raise ValueError("K must be positive")
+    red = _Reduced(PP.A, PP.b, PP.c)
     out = []
     for k in range(1, K + 1):
         try:
-            out.append(count_integer_points(PP.at(k)))
+            out.append(red.count(k))
         except UnboundedPolytopeError as exc:
             raise UnboundedPolytopeError(f"unbounded polytope at k={k}") from exc
     return tuple(out)

@@ -2,10 +2,11 @@ import pytest
 from fractions import Fraction as F
 from hypothesis import given, settings, strategies as st
 
+from weylbox import lr
 from weylbox.lr import (LRQuery, hive_polytope, lr_coefficient,
                         lr_positive, lr_stretch, _skew_lr_count)
 from weylbox.partitions import Partition, partitions_of
-from weylbox.polytope import count_integer_points
+from weylbox.polytope import _Reduced, count_integer_points
 from weylbox.symfunc import product_expand
 
 P = Partition
@@ -13,6 +14,11 @@ P = Partition
 
 def q(a, b, lam):
     return LRQuery(P(a), P(b), P(lam))
+
+
+SMALL_PARTS = [p for s in range(4) for p in partitions_of(s, max_length=3)]
+SMALL_TRIPLES = [LRQuery(a, b, lam) for a in SMALL_PARTS for b in SMALL_PARTS
+                 for lam in partitions_of(a.size + b.size, max_length=3)]
 
 
 class TestHivePolytope:
@@ -35,6 +41,24 @@ class TestHivePolytope:
 
     def test_empty_query(self):
         assert count_integer_points(hive_polytope(q((), (), ()))) == 1
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_dilation_identity(self, k):
+        # lr_stretch counts the dilations of one hive, which is valid only
+        # because the k-scaled query gives the same matrix and k times b
+        for query in SMALL_TRIPLES:
+            base = hive_polytope(query)
+            scaled = hive_polytope(query.scale(k))
+            assert scaled.A == base.A, query
+            assert scaled.b == base.dilate(k).b, query
+
+    def test_pairs_to_fixpoint(self):
+        # substituting the first round's equalities makes one more +- pair,
+        # so the 10 interior vertices reduce to 7 free coordinates, the
+        # affine dimension of this hive polytope
+        hive = hive_polytope(q((8, 6, 4, 2), (8, 6, 4, 2), (12, 10, 8, 6, 2, 2)))
+        assert hive.dim == 10
+        assert len(_Reduced(hive.A, hive.b).free) == 7
 
     def test_side_cap(self):
         from weylbox.config import BudgetError
@@ -144,6 +168,19 @@ class TestStretch:
         series = lr_stretch(q((3, 2, 1), (3, 2, 1), (4, 4, 3, 1)), 7)
         assert series.values == (3, 6, 10, 15, 21, 28, 36)
         assert series.fit.degree == 2
+
+    def test_one_hive(self, monkeypatch):
+        calls = []
+        build = lr.hive_polytope
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(lr, "hive_polytope", counting)
+        series = lr_stretch(q((3, 2, 1), (3, 2, 1), (4, 4, 3, 1)), 7)
+        assert series.values == (3, 6, 10, 15, 21, 28, 36)
+        assert len(calls) == 1
 
 
 class TestSkewRule:

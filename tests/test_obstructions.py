@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+import random
 import time
 from dataclasses import replace
 
@@ -50,6 +52,46 @@ class TestMagicSquares:
     def test_invalid_square_rejected(self):
         with pytest.raises(ValueError):
             MagicSquare(2, ((1, 0), (0, 2)))
+
+
+def brute_canonical_form(sq):
+    """Reference: the least matrix over all (n!)^2 row and column orders."""
+    best = None
+    for rp in itertools.permutations(range(sq.n)):
+        rows = [sq.entries[i] for i in rp]
+        for cp in itertools.permutations(range(sq.n)):
+            cand = tuple(tuple(row[j] for j in cp) for row in rows)
+            if best is None or cand < best:
+                best = cand
+    return best
+
+
+class TestCanonicalForm:
+    """Sorting the columns under each of the n! row orders finds the same
+    form as trying all (n!)^2 row and column orders."""
+
+    @pytest.mark.parametrize("n,r", [(n, r) for n in (1, 2, 3) for r in range(5)])
+    def test_every_small_square(self, n, r):
+        squares, orbits = enumerate_magic_squares(n, r)
+        forms = [brute_canonical_form(sq) for sq in squares]
+        assert [sq.canonical_form() for sq in squares] == forms
+        assert orbits == len(set(forms))
+        assert [rep.entries for rep in magic_orbit_representatives(n, r)] == \
+            sorted(set(forms))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeded_four_by_four(self, seed):
+        rng = random.Random(seed)
+        squares = rng.sample(enumerate_magic_squares(4, 3)[0], 20)
+        for _ in range(20):
+            # a sum of r permutation matrices is magic of weight r
+            entries = [[0] * 4 for _ in range(4)]
+            for _ in range(rng.randint(1, 6)):
+                for i, j in enumerate(rng.sample(range(4), 4)):
+                    entries[i][j] += 1
+            squares.append(MagicSquare(4, tuple(map(tuple, entries))))
+        for sq in squares:
+            assert sq.canonical_form() == brute_canonical_form(sq)
 
 
 class TestBasicInvariants:

@@ -6,6 +6,7 @@ from math import ceil, floor
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from weylbox import polytope
 from weylbox.acceptance import STRETCH_QUERIES
 from weylbox.linalg import det, mat_inv, solve_columns
 from weylbox.lr import LRQuery, lr_stretch
@@ -13,9 +14,9 @@ from weylbox.partitions import Partition
 from weylbox.polytope import (FitError, InfeasibleError, NoVertexError,
                               ParamPolytope, Polytope, QuasiPolynomial,
                               UnboundedPolytopeError, _coordinate_bounds,
-                              count_integer_points, ehrhart_counts, feasible,
-                              fit_quasipolynomial, smallest_integral_dilation,
-                              vertex)
+                              _Reduced, count_integer_points, ehrhart_counts,
+                              feasible, fit_quasipolynomial,
+                              smallest_integral_dilation, vertex)
 
 
 def box(n, hi=1):
@@ -166,12 +167,12 @@ class TestKernelsAgainstBruteForce:
         if not verts:
             assert count_integer_points(P) == 0
             with pytest.raises(InfeasibleError):
-                _coordinate_bounds(P, 0)
+                _coordinate_bounds(P.A, P.b, P.dim, 0)
             return
         ranges = []
         for i in range(P.dim):
             lo, hi = min(v[i] for v in verts), max(v[i] for v in verts)
-            assert _coordinate_bounds(P, i) == (lo, hi)
+            assert _coordinate_bounds(P.A, P.b, P.dim, i) == (lo, hi)
             ranges.append(range(ceil(lo), floor(hi) + 1))
         assert count_integer_points(P) == sum(
             1 for pt in product(*ranges) if P.contains(pt))
@@ -254,6 +255,156 @@ class TestEhrhart:
         # x <= k/2 + 1, x >= 0
         pp = ParamPolytope(((F(1),), (F(-1),)), (F(1, 2), F(0)), (F(1), F(0)))
         assert ehrhart_counts(pp, 4) == (2, 3, 3, 4)
+
+
+class TestReduction:
+    def test_scalar_multiple_pair(self):
+        # 2x <= 2 and -x <= -1 are one equality x = 1 once rows are primitive
+        P = Polytope(((F(2),), (F(-1),)), (F(2), F(-1)))
+        red = _Reduced(P.A, P.b)
+        assert red.free == [] and red.A == []
+        assert count_integer_points(P) == 1
+
+    def test_pair_made_by_substitution(self):
+        # x = 1 turns x + y <= 3 into y <= 2, the partner of -y <= -2
+        P = Polytope(((F(1), F(0)), (F(-1), F(0)), (F(1), F(1)), (F(0), F(-1))),
+                     (F(1), F(-1), F(3), F(-2)))
+        assert _Reduced(P.A, P.b).free == []
+        assert count_integer_points(P) == 1
+
+    def test_every_row_an_equality(self):
+        # y is left with no row at all: unbounded, not a crash
+        P = Polytope(((F(1), F(0)), (F(-1), F(0))), (F(1), F(-1)))
+        with pytest.raises(UnboundedPolytopeError, match="unbounded polytope"):
+            count_integer_points(P)
+        assert feasible(P)
+
+    def test_inconsistent_equalities(self):
+        # x = 1 and x = 2 as two pairs
+        P = Polytope(((F(1),), (F(-1),), (F(2),), (F(-2),)),
+                     (F(1), F(-1), F(4), F(-4)))
+        assert not feasible(P)
+        assert count_integer_points(P) == 0
+
+
+def counting_calls(monkeypatch, name):
+    calls = []
+    original = getattr(polytope, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(polytope, name, wrapper)
+    return calls
+
+
+ROTATED = ((F(1), F(1)), (F(-1), F(-1)), (F(1), F(-1)), (F(-1), F(1)))
+
+
+class TestFamilyReducedOnce:
+    """ehrhart_counts reduces the family once; with c = 0 it also bounds it
+    once, at k = 1, and scales that box."""
+
+    def test_one_reduction(self, monkeypatch):
+        calls = []
+
+        class Counting(_Reduced):
+            def __init__(self, *args):
+                calls.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(polytope, "_Reduced", Counting)
+        pp = ParamPolytope(box(2).A, box(2).b, tuple(F(0) for _ in box(2).b))
+        assert ehrhart_counts(pp, 6) == tuple((k + 1) ** 2 for k in range(1, 7))
+        assert len(calls) == 1
+
+    def test_homogeneous_box_once(self, monkeypatch):
+        # rotated rows: propagation bounds nothing, so the LP bounds each
+        # coordinate, once for the whole family
+        pp = ParamPolytope(ROTATED, (F(1, 2), F(1, 3), F(1, 2), F(1)), (F(0),) * 4)
+        expected = tuple(count_integer_points(pp.at(k)) for k in range(1, 7))
+        props = counting_calls(monkeypatch, "_propagated_box")
+        lps = counting_calls(monkeypatch, "_coordinate_bounds")
+        assert ehrhart_counts(pp, 6) == expected
+        assert len(props) == 1
+        assert len(lps) == 2
+
+    def test_offset_box_per_k(self, monkeypatch):
+        props = counting_calls(monkeypatch, "_propagated_box")
+        pp = ParamPolytope(box(2).A, box(2).b, (F(1), F(0), F(0), F(0)))
+        ehrhart_counts(pp, 5)
+        assert len(props) == 5
+
+
+small_rationals = st.builds(F, st.integers(-2, 2), st.integers(1, 3))
+
+
+@st.composite
+def families(draw):
+    """A family {x : Ax <= k*b + c} of dimension 1-3. Its rows bound an
+    axis box or, for 'rotated', an invertible matrix with at least two
+    nonzeros per row, which propagation cannot use, from both sides; each
+    side gets its own b and c, so some members may be empty. Optionally c
+    is 0, one side is dropped (unbounded), up to two extra rows cut it, and
+    a pair (a, b, c), (-a, -b, -c), given as different multiples of one
+    row, pins it to a hyperplane."""
+    kind = draw(st.sampled_from(["axis", "rotated"]))
+    n = draw(st.integers(1 if kind == "axis" else 2, 3))
+    homogeneous = draw(st.booleans())
+    rhs = st.tuples(small_rationals.map(lambda x: x + 1),
+                    st.just(F(0)) if homogeneous else small_rationals)
+    A, b, c = [], [], []
+
+    def add(row, bc, scale=1):
+        A.append(tuple(F(scale * a) for a in row))
+        b.append(scale * bc[0])
+        c.append(scale * bc[1])
+
+    if kind == "axis":
+        M = [[int(j == i) for j in range(n)] for i in range(n)]
+    else:
+        dense = [row for row in product((-1, 0, 1), repeat=n)
+                 if sum(1 for a in row if a) >= 2]
+        M = draw(st.lists(st.sampled_from(dense), min_size=n, max_size=n)
+                 .filter(lambda M: det(M) != 0))
+    for row in M:
+        add(row, draw(rhs))
+        add([-a for a in row], draw(rhs))
+    if draw(st.integers(0, 3)) == 0:
+        del A[0], b[0], c[0]
+    rows = st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any)
+    for row in draw(st.lists(rows, max_size=2)):
+        add(row, draw(rhs))
+    if draw(st.booleans()):
+        row, bc = draw(rows), draw(rhs)
+        add(row, bc, draw(st.integers(1, 3)))
+        add([-a for a in row], (-bc[0], -bc[1]), draw(st.integers(1, 3)))
+    return ParamPolytope(tuple(A), tuple(b), tuple(c))
+
+
+class TestFamilyCounts:
+    """One reduction for the whole family counts what a fresh count of each
+    member does, and fails at the same k."""
+
+    @given(families(), st.integers(1, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_member_counts(self, pp, K):
+        expected = []
+        for k in range(1, K + 1):
+            try:
+                expected.append(count_integer_points(pp.at(k)))
+            except UnboundedPolytopeError:
+                with pytest.raises(UnboundedPolytopeError,
+                                   match=f"^unbounded polytope at k={k}$"):
+                    ehrhart_counts(pp, K)
+                return
+        assert ehrhart_counts(pp, K) == tuple(expected)
+        P = pp.at(1)
+        if feasible(P):  # and bounded: a third route by box enumeration
+            ranges = [range(ceil(lo), floor(hi) + 1) for lo, hi in
+                      (_coordinate_bounds(P.A, P.b, P.dim, i) for i in range(P.dim))]
+            assert expected[0] == sum(1 for pt in product(*ranges) if P.contains(pt))
 
 
 class TestFit:
