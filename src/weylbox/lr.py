@@ -10,17 +10,25 @@ substituted into integer right-hand sides. The public coefficient routine
 runs both routes and refuses to answer when they disagree; positivity is
 decided by exact LP feasibility of the hive without any enumeration
 (saturation: Knutson-Tao 1999, Buch 2000).
+
+The hive stays integer from its rows to its count. Which rows a hive of
+side n has, and which rhombi merge into each, is a per-side template built
+once; a query only fills in its boundary partial sums. The rows are reduced
+once per query (``_reduced_hive``, a small bounded memo), and the
+coefficient, positivity and stretch routines all count or test that one
+reduction. The memo holds reductions, never answers: the tableau rule runs
+on every coefficient query, and the side cap is checked before the memo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
 
 from .config import DEFAULT, BudgetError
 from .partitions import Partition
-from .polytope import (ParamPolytope, Polytope, QuasiPolynomial,
-                       count_integer_points, ehrhart_counts, feasible,
-                       fit_quasipolynomial)
+from .polytope import Polytope, QuasiPolynomial, _Reduced, fit_quasipolynomial
 
 
 class OracleMismatchError(RuntimeError):
@@ -52,6 +60,90 @@ class StretchSeries:
     fit: QuasiPolynomial | None
 
 
+def _hive_side(q: LRQuery, side: int | None, side_cap: int | None) -> int:
+    """The side n of q's hive, checked against the sizes, lengths and cap."""
+    if side_cap is None:
+        side_cap = DEFAULT.hive_side_cap
+    if not q.sizes_match():
+        raise ValueError(
+            f"size mismatch: |lam|={q.lam.size} != |alpha|+|beta|="
+            f"{q.alpha.size + q.beta.size}")
+    n = max(len(q.alpha), len(q.beta), len(q.lam), 1)
+    if side is not None:
+        if side < n:
+            raise ValueError(f"side {side} too small for lengths up to {n}")
+        n = side
+    if n > side_cap:
+        raise BudgetError(f"hive side {n} exceeds cap {side_cap}")
+    return n
+
+
+@lru_cache(maxsize=16)
+def _hive_template(n: int):
+    """The query-independent part of a side-n hive.
+
+    Which rows exist, their interior parts and which rhombi merge into one
+    row depend only on n. Boundary vertices index a vector of 3n + 1
+    partial sums: alpha's n + 1 on the j-edge, |alpha| plus beta's n on the
+    k-edge, then lam's n on the i-edge (the corner (n, 0, 0) reads lam's,
+    which agrees). Returns each interior key, in order of first appearance,
+    with one group of (position, coefficient) boundary terms per rhombus
+    that has it, each term already moved to the right-hand side. Every
+    rhombus contains the three vertices around its inner triangle, which are
+    all interior for n >= 3; so only side 2 has rows with no interior part,
+    and there they all share the key ().
+    """
+    position: dict[tuple[int, int, int], int] = {}
+    for j in range(n + 1):
+        position[(0, j, n - j)] = j
+    for i in range(1, n + 1):
+        position[(i, n - i, 0)] = n + i
+    for i in range(1, n + 1):
+        position[(i, 0, n - i)] = 2 * n + i
+    interior = [(i, j, n - i - j) for i in range(1, n - 1)
+                for j in range(1, n - i)]
+    index = {v: t for t, v in enumerate(interior)}
+    rows: dict[tuple[int, ...], list] = {}
+    # rhombus concavity, three orientations per inner lattice triangle
+    for i in range(n - 1):
+        for j in range(n - 1 - i):
+            k = n - 2 - i - j
+            for rhombus in ((((i, j + 2, k), 1), ((i + 1, j, k + 1), 1),
+                             ((i + 1, j + 1, k), -1), ((i, j + 1, k + 1), -1)),
+                            (((i + 2, j, k), 1), ((i, j + 1, k + 1), 1),
+                             ((i + 1, j + 1, k), -1), ((i + 1, j, k + 1), -1)),
+                            (((i, j, k + 2), 1), ((i + 1, j + 1, k), 1),
+                             ((i + 1, j, k + 1), -1), ((i, j + 1, k + 1), -1))):
+                row = [0] * len(interior)
+                group = []
+                for v, coeff in rhombus:
+                    t = index.get(v)
+                    if t is None:
+                        group.append((position[v], -coeff))
+                    else:
+                        row[t] = coeff
+                rows.setdefault(tuple(row), []).append(tuple(group))
+    return tuple(rows.items())
+
+
+def _hive_rows(q: LRQuery, side: int | None = None,
+               side_cap: int | None = None):
+    """Integer (A, b) of the hive polytope (see ``hive_polytope``): the
+    side-n template with this query's boundary partial sums filled in."""
+    n = _hive_side(q, side, side_cap)
+    sums = list(accumulate(q.alpha.padded(n) + q.beta.padded(n), initial=0))
+    sums += accumulate(q.lam.padded(n))
+    A, b = [], []
+    for key, groups in _hive_template(n):
+        bound = min(sum(c * sums[p] for p, c in group) for group in groups)
+        # the empty key (side 2 only) is a condition 0 <= bound: dropped
+        # when it holds, kept to make the polytope empty when it fails
+        if key or bound < 0:
+            A.append(key)
+            b.append(bound)
+    return A, b
+
+
 def hive_polytope(q: LRQuery, side: int | None = None,
                   side_cap: int | None = None) -> Polytope:
     """The hive model for c^lam_{alpha,beta}, in interior coordinates.
@@ -69,70 +161,11 @@ def hive_polytope(q: LRQuery, side: int | None = None,
     the polytope empty. Integer points biject with Littlewood-Richardson
     fillings, and the k-scaled query gives the same matrix with every
     constant times k.
+
+    The rows come from a per-side template (``_hive_template``), so a query
+    only fills in its boundary partial sums; the side cap is checked first.
     """
-    if side_cap is None:
-        side_cap = DEFAULT.hive_side_cap
-    if not q.sizes_match():
-        raise ValueError(
-            f"size mismatch: |lam|={q.lam.size} != |alpha|+|beta|="
-            f"{q.alpha.size + q.beta.size}")
-    n = max(len(q.alpha), len(q.beta), len(q.lam), 1)
-    if side is not None:
-        if side < n:
-            raise ValueError(f"side {side} too small for lengths up to {n}")
-        n = side
-    if n > side_cap:
-        raise BudgetError(f"hive side {n} exceeds cap {side_cap}")
-
-    alpha = q.alpha.padded(n)
-    beta = q.beta.padded(n)
-    lam = q.lam.padded(n)
-    boundary: dict[tuple[int, int, int], int] = {}
-    s = 0
-    for j in range(n + 1):
-        boundary[(0, j, n - j)] = s  # partial sums of alpha
-        if j < n:
-            s += alpha[j]
-    s = q.alpha.size
-    for i in range(1, n + 1):
-        s += beta[i - 1]
-        boundary[(i, n - i, 0)] = s  # |alpha| plus partial sums of beta
-    s = 0
-    for i in range(1, n + 1):
-        s += lam[i - 1]
-        boundary[(i, 0, n - i)] = s  # partial sums of lam; corner agrees
-
-    interior = [(i, j, n - i - j) for i in range(1, n - 1)
-                for j in range(1, n - i)]
-    index = {v: t for t, v in enumerate(interior)}
-    T = len(interior)
-    tight: dict[tuple[int, ...], int] = {}
-
-    def add_row(*terms: tuple[tuple[int, int, int], int]):
-        row = [0] * T
-        bound = 0
-        for v, coeff in terms:
-            t = index.get(v)
-            if t is None:
-                bound -= coeff * boundary[v]
-            else:
-                row[t] = coeff
-        key = tuple(row)
-        if any(key) or bound < 0:
-            tight[key] = min(bound, tight.get(key, bound))
-
-    # rhombus concavity, three orientations per inner lattice triangle
-    for i in range(n - 1):
-        for j in range(n - 1 - i):
-            k = n - 2 - i - j
-            add_row(((i, j + 2, k), 1), ((i + 1, j, k + 1), 1),
-                    ((i + 1, j + 1, k), -1), ((i, j + 1, k + 1), -1))
-            add_row(((i + 2, j, k), 1), ((i, j + 1, k + 1), 1),
-                    ((i + 1, j + 1, k), -1), ((i + 1, j, k + 1), -1))
-            add_row(((i, j, k + 2), 1), ((i + 1, j + 1, k), 1),
-                    ((i + 1, j, k + 1), -1), ((i, j + 1, k + 1), -1))
-
-    return Polytope(tuple(tight), tuple(tight.values()))
+    return Polytope(*_hive_rows(q, side, side_cap))
 
 
 def _skew_lr_count(alpha: Partition, beta: Partition, lam: Partition) -> int:
@@ -182,13 +215,29 @@ def _skew_lr_count(alpha: Partition, beta: Partition, lam: Partition) -> int:
     return fill(0)
 
 
+@lru_cache(maxsize=8)
+def _reduced_hive(q: LRQuery, side: int) -> _Reduced:
+    """The side-``side`` hive of q, reduced once and shared by the
+    coefficient, positivity and stretch queries on q. It holds only the
+    reduction, never an answer; callers check the side cap first."""
+    return _Reduced(*_hive_rows(q, side, side))
+
+
+def _hive(q: LRQuery, side_cap: int | None) -> _Reduced:
+    """The shared reduction of q's hive, after the side-cap check."""
+    return _reduced_hive(q, _hive_side(q, None, side_cap))
+
+
 def lr_coefficient(q: LRQuery, side_cap: int | None = None) -> int:
     """c^lam_{alpha,beta} computed by BOTH the tableau rule and hive
-    counting; raises OracleMismatchError when the two disagree."""
+    counting; raises OracleMismatchError when the two disagree. The hive,
+    and with it the side cap, comes first, so an over-cap query refuses
+    before any tableau is enumerated."""
     if not q.sizes_match():
         return 0
+    hive = _hive(q, side_cap)
     t = _skew_lr_count(q.alpha, q.beta, q.lam)
-    h = count_integer_points(hive_polytope(q, side_cap=side_cap))
+    h = hive.count(1)
     if t != h:
         raise OracleMismatchError(
             f"oracle mismatch for {q}: tableau rule {t}, hive count {h}")
@@ -200,7 +249,7 @@ def lr_positive(q: LRQuery, side_cap: int | None = None) -> bool:
     is nonempty, decided by exact LP with no integer enumeration."""
     if not q.sizes_match():
         return False
-    return feasible(hive_polytope(q, side_cap=side_cap))
+    return _hive(q, side_cap).feasible(1)
 
 
 def lr_stretch(q: LRQuery, K: int, max_period: int | None = None,
@@ -209,8 +258,8 @@ def lr_stretch(q: LRQuery, K: int, max_period: int | None = None,
     """Counts at the k-scaled query for k = 1..K, with a quasi-polynomial fit.
 
     The k-scaled hive polytope is the k-dilation of the unscaled one (same
-    matrix, right-hand side times k; see ``hive_polytope``), so one hive is
-    built and its dilations are counted as an Ehrhart family.
+    matrix, right-hand side times k; see ``hive_polytope``), so the one
+    reduced hive of q is counted as an Ehrhart family.
     """
     if K < 4:
         raise ValueError("need K >= 4 for a meaningful stretch series")
@@ -225,7 +274,6 @@ def lr_stretch(q: LRQuery, K: int, max_period: int | None = None,
     if not q.sizes_match():
         raise ValueError("size mismatch in stretch query")
 
-    hive = hive_polytope(q, side_cap=side_cap)
-    values = ehrhart_counts(ParamPolytope(hive.A, hive.b, (0,) * len(hive.b)), K)
+    values = _hive(q, side_cap).counts(K)
     fit = fit_quasipolynomial(values, max_period, max_degree, holdout)
     return StretchSeries(q, values, fit)

@@ -5,7 +5,8 @@ There is no floating point in this module. ``fractions.Fraction`` is the
 boundary type: inputs, ``Polytope``, ``ParamPolytope`` and
 ``QuasiPolynomial`` data and returned values. Inside, every constraint is a
 primitive integer row and the inner loops run on Python integers: a family
-{x : Ax <= k*b + c} is reduced once for every k (``_Reduced``) and only its
+{x : Ax <= k*b + c} is reduced once for every k (``_Reduced``, which also
+takes integer rows as they are, as the LR hive does) and only its
 right-hand side is rescaled per k, linear programs go through one
 fraction-free simplex with Bland's rule, integer points are counted by a DFS
 over the reduced rows, and each residue class of a quasi-polynomial fit is
@@ -250,15 +251,8 @@ def _simplex(A, b, c) -> tuple[str, Fraction | None]:
 
 
 def feasible(P: Polytope) -> bool:
-    """Exact emptiness test for {x : Ax <= b}.
-
-    The equalities are eliminated exactly first (``_Reduced``); the
-    surviving rows go to the exact-pivot simplex.
-    """
-    red = _Reduced(P.A, P.b)
-    rhs = red.rhs(1)
-    return rhs is not None and \
-        _simplex(red.A, rhs, [0] * len(red.free))[0] != "infeasible"
+    """Exact emptiness test for {x : Ax <= b} (``_Reduced.feasible``)."""
+    return _Reduced(P.A, P.b).feasible(1)
 
 
 def _coordinate_bounds(A, b, n: int, i: int) -> tuple[Fraction, Fraction]:
@@ -415,6 +409,13 @@ class _Reduced:
             return None
         return [k * bv + cv for bv, cv in zip(self.b, self.c)]
 
+    def feasible(self, k: int) -> bool:
+        """Whether P(k) is nonempty: the equalities are already eliminated
+        exactly, and the surviving rows go to the exact-pivot simplex."""
+        rhs = self.rhs(k)
+        return rhs is not None and \
+            _simplex(self.A, rhs, [0] * len(self.free))[0] != "infeasible"
+
     def _bounds(self, rhs):
         """Exact (lo, hi) per free coordinate of {x : Ax <= rhs}, or None
         when that set is empty; raises UnboundedPolytopeError."""
@@ -525,6 +526,17 @@ class _Reduced:
         dfs(0)
         return count
 
+    def counts(self, K: int) -> tuple[int, ...]:
+        """``count(k)`` for k = 1..K; each k only rescales the right-hand
+        side of the reduced rows."""
+        out = []
+        for k in range(1, K + 1):
+            try:
+                out.append(self.count(k))
+            except UnboundedPolytopeError as exc:
+                raise UnboundedPolytopeError(f"unbounded polytope at k={k}") from exc
+        return tuple(out)
+
 
 def count_integer_points(P: Polytope) -> int:
     """Exact |P ∩ Z^n| for a bounded P (``_Reduced.count`` at k = 1).
@@ -572,18 +584,11 @@ def smallest_integral_dilation(P: Polytope) -> tuple[int, tuple[int, ...]]:
 def ehrhart_counts(PP: ParamPolytope, K: int) -> tuple[int, ...]:
     """Integer-point counts of PP.at(k) for k = 1..K.
 
-    The family is reduced once (``_Reduced``); each k only rescales the
-    right-hand side of the reduced rows."""
+    The family is reduced once (``_Reduced``) and counted by
+    ``_Reduced.counts``."""
     if K < 1:
         raise ValueError("K must be positive")
-    red = _Reduced(PP.A, PP.b, PP.c)
-    out = []
-    for k in range(1, K + 1):
-        try:
-            out.append(red.count(k))
-        except UnboundedPolytopeError as exc:
-            raise UnboundedPolytopeError(f"unbounded polytope at k={k}") from exc
-    return tuple(out)
+    return _Reduced(PP.A, PP.b, PP.c).counts(K)
 
 
 # ---------------------------------------------------------------------------

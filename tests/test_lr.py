@@ -2,9 +2,11 @@ import pytest
 from fractions import Fraction as F
 from hypothesis import given, settings, strategies as st
 
-from weylbox import lr
-from weylbox.lr import (LRQuery, hive_polytope, lr_coefficient,
-                        lr_positive, lr_stretch, _skew_lr_count)
+from weylbox import lr, polytope
+from weylbox.config import BudgetError
+from weylbox.lr import (LRQuery, OracleMismatchError, hive_polytope,
+                        lr_coefficient, lr_positive, lr_stretch, _hive_rows,
+                        _reduced_hive, _skew_lr_count)
 from weylbox.partitions import Partition, partitions_of
 from weylbox.polytope import _Reduced, count_integer_points
 from weylbox.symfunc import product_expand
@@ -14,6 +16,71 @@ P = Partition
 
 def q(a, b, lam):
     return LRQuery(P(a), P(b), P(lam))
+
+
+def reference_hive_rows(q: LRQuery, side=None):
+    """The hive rows built rhombus by rhombus, as ``hive_polytope`` did
+    before the per-side template: the reference the template must equal."""
+    n = max(len(q.alpha), len(q.beta), len(q.lam), 1)
+    if side is not None:
+        n = side
+
+    alpha = q.alpha.padded(n)
+    beta = q.beta.padded(n)
+    lam = q.lam.padded(n)
+    boundary: dict[tuple[int, int, int], int] = {}
+    s = 0
+    for j in range(n + 1):
+        boundary[(0, j, n - j)] = s  # partial sums of alpha
+        if j < n:
+            s += alpha[j]
+    s = q.alpha.size
+    for i in range(1, n + 1):
+        s += beta[i - 1]
+        boundary[(i, n - i, 0)] = s  # |alpha| plus partial sums of beta
+    s = 0
+    for i in range(1, n + 1):
+        s += lam[i - 1]
+        boundary[(i, 0, n - i)] = s  # partial sums of lam; corner agrees
+
+    interior = [(i, j, n - i - j) for i in range(1, n - 1)
+                for j in range(1, n - i)]
+    index = {v: t for t, v in enumerate(interior)}
+    T = len(interior)
+    tight: dict[tuple[int, ...], int] = {}
+
+    def add_row(*terms: tuple[tuple[int, int, int], int]):
+        row = [0] * T
+        bound = 0
+        for v, coeff in terms:
+            t = index.get(v)
+            if t is None:
+                bound -= coeff * boundary[v]
+            else:
+                row[t] = coeff
+        key = tuple(row)
+        if any(key) or bound < 0:
+            tight[key] = min(bound, tight.get(key, bound))
+
+    # rhombus concavity, three orientations per inner lattice triangle
+    for i in range(n - 1):
+        for j in range(n - 1 - i):
+            k = n - 2 - i - j
+            add_row(((i, j + 2, k), 1), ((i + 1, j, k + 1), 1),
+                    ((i + 1, j + 1, k), -1), ((i, j + 1, k + 1), -1))
+            add_row(((i + 2, j, k), 1), ((i, j + 1, k + 1), 1),
+                    ((i + 1, j + 1, k), -1), ((i + 1, j, k + 1), -1))
+            add_row(((i, j, k + 2), 1), ((i + 1, j + 1, k), 1),
+                    ((i + 1, j, k + 1), -1), ((i, j + 1, k + 1), -1))
+
+    return list(tight), list(tight.values())
+
+
+@pytest.fixture
+def fresh_hives():
+    _reduced_hive.cache_clear()
+    yield
+    _reduced_hive.cache_clear()
 
 
 SMALL_PARTS = [p for s in range(4) for p in partitions_of(s, max_length=3)]
@@ -61,13 +128,101 @@ class TestHivePolytope:
         assert len(_Reduced(hive.A, hive.b).free) == 7
 
     def test_side_cap(self):
-        from weylbox.config import BudgetError
         with pytest.raises(BudgetError, match="cap"):
             hive_polytope(q((2, 1), (2, 1), (3, 2, 1)), side_cap=2)
 
     def test_explicit_side(self):
         P4 = hive_polytope(q((1,), (1,), (2,)), side=4)
         assert count_integer_points(P4) == 1
+
+
+@st.composite
+def hive_queries(draw):
+    """A size-matched triple of length at most n <= 6, lam often not
+    containing alpha, and an explicit side between its length and 6, or
+    none."""
+    n = draw(st.integers(1, 6))
+    a, b = (draw(st.integers(0, 7).flatmap(
+        lambda s: st.sampled_from(list(partitions_of(s, max_length=n)))))
+        for _ in range(2))
+    lam = draw(st.sampled_from(list(partitions_of(a.size + b.size, max_length=n))))
+    length = max(len(a), len(b), len(lam), 1)
+    return LRQuery(a, b, lam), draw(st.one_of(st.none(), st.integers(length, 6)))
+
+
+class TestHiveTemplate:
+    @given(hive_queries())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_rhombus_builder(self, case):
+        query, side = case
+        A, b = _hive_rows(query, side)
+        assert (A, b) == reference_hive_rows(query, side)
+        assert all(type(x) is int for row in A for x in row)
+        assert all(type(x) is int for x in b)
+
+    @pytest.mark.parametrize("side", range(1, 7))
+    def test_every_side(self, side):
+        # contained, not contained, and the empty query, at every side <= 6
+        for query in [q((), (), ()), q((1,), (1,), (2,)),
+                      q((2, 2), (1,), (3, 1, 1)), q((3, 2), (4, 1), (9, 1))]:
+            if side >= max(len(query.alpha), len(query.beta), len(query.lam)):
+                assert _hive_rows(query, side) == reference_hive_rows(query, side)
+
+    def test_cap_before_template(self, monkeypatch):
+        def untouched(n):
+            raise AssertionError("template built for an over-cap query")
+
+        monkeypatch.setattr(lr, "_hive_template", untouched)
+        with pytest.raises(BudgetError, match="cap"):
+            hive_polytope(q((2, 1), (2, 1), (3, 2, 1)), side_cap=2)
+
+
+class TestSharedReduction:
+    QUERY = q((3, 2, 1), (3, 2, 1), (4, 4, 3, 1))
+
+    def counting_reductions(self, monkeypatch):
+        calls = []
+
+        class Counting(lr._Reduced):
+            def __init__(self, *args):
+                calls.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(lr, "_Reduced", Counting)
+        monkeypatch.setattr(polytope, "_Reduced", Counting)
+        return calls
+
+    def test_coefficient_and_positivity_reduce_once(self, monkeypatch, fresh_hives):
+        calls = self.counting_reductions(monkeypatch)
+        assert lr_coefficient(self.QUERY) == 3
+        assert lr_positive(self.QUERY)
+        assert len(calls) == 1
+
+    def test_stretch_reduces_once(self, monkeypatch, fresh_hives):
+        calls = self.counting_reductions(monkeypatch)
+        assert lr_stretch(self.QUERY, 7).values == (3, 6, 10, 15, 21, 28, 36)
+        assert len(calls) == 1
+        assert lr_coefficient(self.QUERY) == 3
+        assert len(calls) == 1
+
+    def test_cap_checked_on_a_cached_query(self, fresh_hives):
+        assert lr_coefficient(self.QUERY) == 3
+        with pytest.raises(BudgetError, match="cap"):
+            lr_coefficient(self.QUERY, side_cap=2)
+        with pytest.raises(BudgetError, match="cap"):
+            lr_positive(self.QUERY, side_cap=2)
+        with pytest.raises(BudgetError, match="cap"):
+            lr_stretch(self.QUERY, 5, side_cap=2)
+
+    def test_tableau_rule_always_runs(self, monkeypatch, fresh_hives):
+        monkeypatch.setattr(lr, "_skew_lr_count", lambda *args: 99)
+        for _ in range(2):
+            with pytest.raises(OracleMismatchError):
+                lr_coefficient(self.QUERY)
+
+    def test_bounded(self):
+        maxsize = _reduced_hive.cache_info().maxsize
+        assert maxsize is not None and maxsize <= 16
 
 
 class TestCoefficient:
@@ -78,6 +233,14 @@ class TestCoefficient:
     def test_not_contained(self):
         assert lr_coefficient(q((2, 2), (1,), (3, 1, 1))) == 0
         assert lr_coefficient(q((1, 1, 1), (1,), (4,))) == 0
+
+    def test_budget_before_tableaux(self, monkeypatch):
+        def enumerated(*args):
+            raise AssertionError("tableaux enumerated for an over-cap query")
+
+        monkeypatch.setattr(lr, "_skew_lr_count", enumerated)
+        with pytest.raises(BudgetError, match="cap"):
+            lr_coefficient(q((2, 1), (2, 1), (3, 2, 1)), side_cap=2)
 
     def test_side_two_zero(self):
         # a side-2 hive has no interior vertex: only its constant rows decide
@@ -169,15 +332,15 @@ class TestStretch:
         assert series.values == (3, 6, 10, 15, 21, 28, 36)
         assert series.fit.degree == 2
 
-    def test_one_hive(self, monkeypatch):
+    def test_one_hive(self, monkeypatch, fresh_hives):
         calls = []
-        build = lr.hive_polytope
+        build = lr._hive_rows
 
         def counting(*args, **kwargs):
             calls.append(args)
             return build(*args, **kwargs)
 
-        monkeypatch.setattr(lr, "hive_polytope", counting)
+        monkeypatch.setattr(lr, "_hive_rows", counting)
         series = lr_stretch(q((3, 2, 1), (3, 2, 1), (4, 4, 3, 1)), 7)
         assert series.values == (3, 6, 10, 15, 21, 28, 36)
         assert len(calls) == 1
