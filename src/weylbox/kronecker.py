@@ -4,9 +4,12 @@ of determinant-stabilizer invariants.
 Characters come from the Murnaghan-Nakayama rule in its beta-set form:
 removing a border strip of length r from lam is replacing a first-column
 hook length b by b - r, with sign (-1)^(number of hooks jumped over).
-Kronecker coefficients are then plain class sums, and the multiplicity of
-the trivial SL_m x SL_m representation inside an irreducible of GL(m^2)
-reduces to a Kronecker coefficient at a rectangular shape.
+Kronecker coefficients are then plain class sums over cached character
+rows: chi_lam at every cycle type is computed once per shape, so a query
+is one sum over four tuples, after its size has passed the table cap. The
+multiplicity of the trivial SL_m x SL_m representation inside an
+irreducible of GL(m^2) reduces to a Kronecker coefficient at a rectangular
+shape.
 """
 
 from __future__ import annotations
@@ -66,28 +69,16 @@ def class_size(mu: Partition) -> int:
     return factorial(mu.size) // z
 
 
-@dataclass(frozen=True)
-class CharacterTable:
-    """Full character table of S_n: rows chi_lam, columns cycle types."""
+@lru_cache(maxsize=None)
+def _class_sizes(n: int) -> tuple[int, ...]:
+    """Class sizes of S_n, one per cycle type in ``partitions_of(n)`` order."""
+    return tuple(class_size(rho) for rho in partitions_of(n))
 
-    n: int
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be positive")
-
-    @property
-    def partitions(self) -> tuple[Partition, ...]:
-        return tuple(partitions_of(self.n))
-
-    def character(self, lam: Partition, mu: Partition) -> int:
-        return sym_character(lam, mu)
-
-    def class_size(self, mu: Partition) -> int:
-        return class_size(mu)
-
-    def row(self, lam: Partition) -> tuple[int, ...]:
-        return tuple(self.character(lam, mu) for mu in self.partitions)
+@lru_cache(maxsize=None)
+def _character_row(lam: tuple[int, ...]) -> tuple[int, ...]:
+    """chi_lam at every cycle type of S_|lam|, in ``partitions_of`` order."""
+    return tuple(_mn(lam, tuple(rho)) for rho in partitions_of(sum(lam)))
 
 
 def kronecker(lam: Partition, mu: Partition, nu: Partition,
@@ -95,7 +86,7 @@ def kronecker(lam: Partition, mu: Partition, nu: Partition,
     """Kronecker coefficient: multiplicity of the trivial character in
     chi_lam * chi_mu * chi_nu, symmetric in all three arguments. Refuses
     with BudgetError when n exceeds ``table_cap`` (default
-    ``char_table_max_n``)."""
+    ``char_table_max_n``), before any character row is read or built."""
     lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
     if table_cap is None:
         table_cap = DEFAULT.char_table_max_n
@@ -108,10 +99,9 @@ def kronecker(lam: Partition, mu: Partition, nu: Partition,
             f"character table budget exceeded: n={n} > {table_cap}")
     if n == 0:
         return 1
-    total = 0
-    for rho in partitions_of(n):
-        total += (class_size(rho) * sym_character(lam, rho)
-                  * sym_character(mu, rho) * sym_character(nu, rho))
+    total = sum(z * a * b * c for z, a, b, c in zip(
+        _class_sizes(n), _character_row(tuple(lam)),
+        _character_row(tuple(mu)), _character_row(tuple(nu))))
     value, rem = divmod(total, factorial(n))
     if rem != 0 or value < 0:
         raise RuntimeError(

@@ -7,9 +7,10 @@ Products and plethysms are evaluated only at the dominant monomials x^lam
 is the convolution of the factors' m-coefficients over the ways to split
 lam, and a plethysm coefficient comes from literal substitution of the
 monomials of the inner polynomial into the outer one, organized by target
-monomial. Nothing here knows about Littlewood-Richardson or plethysm rules:
-this module is the brute-force oracle the rest of the toolkit is checked
-against.
+monomial, with equal monomials grouped into one letter that carries its
+Kostka multiplicity. Nothing here knows about Littlewood-Richardson or
+plethysm rules: this module is the brute-force oracle the rest of the
+toolkit is checked against.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
+from math import factorial
 from typing import Mapping
 
 from .config import DEFAULT, BudgetError
@@ -157,15 +160,60 @@ def product_expand(alpha: Partition, beta: Partition) -> dict[Partition, int]:
     return {k: int(v) for k, v in schur_expand(prod).items()}
 
 
+def _pack(expo, width: int) -> int:
+    return sum(v << (width * t) for t, v in enumerate(expo))
+
+
+@lru_cache(maxsize=None)
+def _alphabet(mu: Partition, N: int) -> tuple:
+    """The distinct monomials x^e of s_mu in N variables, packed, as
+    ``(width, codes, mults)``: ``codes[i]`` packs e_i with one field of
+    ``width`` bits per variable (variable 0 lowest), ``mults[i]`` is
+    K_{mu,e_i}, and the codes run in lexicographically decreasing order of
+    e_i. Only e[t] <= N // (t + 1) is listed, the most a partition of N
+    allows in part t."""
+    caps = [min(mu.size, N // (t + 1)) for t in range(N)]
+    kostkas = schur(mu, N).terms
+    width = N.bit_length() + 1
+    codes, mults = [], []
+    for e in weak_compositions(mu.size, caps):
+        m = kostkas.get(_sort(e))
+        if m:
+            codes.append(_pack(e, width))
+            mults.append(m)
+    return width, tuple(codes), tuple(mults)
+
+
+def _ways(rho: tuple[int, ...], m: int) -> int:
+    """Ways to spread |rho| picks over m identical letters so that the
+    nonzero pick counts form rho: m! / ((m - len(rho))! * prod mult!)."""
+    denominator = factorial(m - len(rho))
+    for c in Counter(rho).values():
+        denominator *= factorial(c)
+    return factorial(m) // denominator
+
+
+@lru_cache(maxsize=None)
+def _splits(j: int, m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Every rho |- j that j picks among m identical letters can form, with
+    its ``_ways(rho, m)``."""
+    return tuple((tuple(rho), _ways(rho, m))
+                 for rho in partitions_of(j, max_length=m))
+
+
 def plethysm_expand(pi: Partition, mu: Partition,
                     degree_cap: int | None = None) -> dict[Partition, int]:
     """Plethysm constants a^lam_{pi,mu} by monomial substitution.
 
-    The monomials of s_mu (with multiplicity, one per semistandard tableau)
-    are listed in N = |pi|*|mu| variables; s_pi is then evaluated with the
-    monomial list as its alphabet, at each dominant monomial x^lam by a
-    search over the multisets of |pi| letters that sum to lam, and the
-    result expanded in the Schur basis.
+    The alphabet is the monomials of s_mu in N = |pi|*|mu| variables, one
+    per semistandard tableau; equal monomials x^e form one letter of
+    multiplicity K_{mu,e}. s_pi is evaluated with that alphabet at each
+    dominant monomial x^lam by a search over the multisets of distinct
+    letters, each taken j >= 1 times, whose |pi| picks sum to lam, and the
+    result expanded in the Schur basis. j picks among m equal letters split
+    as rho |- j in ``_ways(rho, m)`` ways, so a multiset weighs
+    sum of prod _ways * K_{pi, union of the rho}. The degree cap is checked
+    before any cached work.
     """
     pi, mu = Partition(pi), Partition(mu)
     if degree_cap is None:
@@ -176,43 +224,64 @@ def plethysm_expand(pi: Partition, mu: Partition,
             f"plethysm degree {degree} exceeds cap {degree_cap}")
     if not pi:
         return {Partition(): 1}
-    N, p = degree, pi.size
-    # the alphabet: each monomial x^e of s_mu, repeated K_{mu,e} times; a
-    # target lam has lam[t] <= degree // (t + 1), so larger e[t] never fit
-    caps = [min(mu.size, degree // (t + 1)) for t in range(N)]
-    letters = [e for e in weak_compositions(mu.size, caps)
-               for _ in range(kostka(mu, e))]
-    # exponent vectors packed one field per variable, with a guard bit on
-    # top of each field: e <= rem componentwise iff every guard bit survives
-    # ((rem | guard) - e), and rem - e is then a plain subtraction
-    width = degree.bit_length() + 1
+    N = degree
+    width, codes, mults = _alphabet(mu, N)
+    index = {c: i for i, c in enumerate(codes)}
+    # a guard bit on top of each field: e <= rem componentwise iff every
+    # guard bit survives ((rem | guard) - e), and rem - e is then a plain
+    # subtraction
     guard = sum(1 << (width * t + width - 1) for t in range(N))
+    low = (1 << width) - 1
+    heads = [c & low for c in codes]  # e[0], never increasing along codes
+    zero_head = next((i for i, h in enumerate(heads) if h == 0), len(codes))
+    weights: dict[tuple, int] = {}
 
-    def pack(expo) -> int:
-        return sum(v << (width * t) for t, v in enumerate(expo))
+    def weight(groups: list[tuple[int, int]]) -> int:
+        # s_pi's m-coefficient summed over the ways each group of j picks
+        # splits among its m equal letters
+        key = tuple(sorted(groups))
+        w = weights.get(key)
+        if w is None:
+            w = 0
+            for choice in product(*(_splits(j, m) for j, m in key)):
+                ways, content = 1, []
+                for rho, rho_ways in choice:
+                    ways *= rho_ways
+                    content.extend(rho)
+                w += ways * kostka(pi, content)
+            weights[key] = w
+        return w
 
-    codes = [pack(e) for e in letters]
-    last_letters: dict[int, list[int]] = {}
-    for i, c in enumerate(codes):
-        last_letters.setdefault(c, []).append(i)
-    chosen: list[int] = []
-
-    def count(start: int, rem: int) -> int:
-        # multisets of p - len(chosen) letters, from index start on, summing
-        # to rem; each is weighted by s_pi's m-coefficient K_{pi,m} at its
-        # letter multiplicities m
-        if len(chosen) == p - 1:
-            return sum(kostka(pi, Counter(chosen + [i]).values())
-                       for i in last_letters.get(rem, ()) if i >= start)
+    def count(start: int, rem: int, left: int,
+              groups: list[tuple[int, int]]) -> int:
+        # multisets of distinct letters from index start on, with left picks
+        # in all, summing to rem
         total = 0
-        guarded = rem | guard
+        last = rem // left  # the last group: all left picks on one letter
+        i = index.get(last, -1) if last * left == rem else -1
+        if i >= start:
+            groups.append((left, mults[i]))
+            total += weight(groups)
+            groups.pop()
+        if left == 1:
+            return total
+        head = rem & low
+        if head == 0:
+            start = max(start, zero_head)
         for i in range(start, len(codes)):
-            if (guarded - codes[i]) & guard == guard:
-                chosen.append(i)
-                total += count(i, rem - codes[i])
-                chosen.pop()
+            if left * heads[i] < head:
+                break  # no later letter has a larger e[0]
+            code, r = codes[i], rem
+            for j in range(1, left):
+                if ((r | guard) - code) & guard != guard:
+                    break
+                r -= code
+                groups.append((j, mults[i]))
+                total += count(i + 1, r, left - j, groups)
+                groups.pop()
         return total
 
-    acc = {lam: count(0, pack(lam)) for lam in partitions_of(degree, max_length=N)}
+    acc = {lam: count(0, _pack(lam, width), pi.size, [])
+           for lam in partitions_of(degree, max_length=N)}
     poly = SymPoly(N, acc)
     return {k: int(v) for k, v in schur_expand(poly).items()}

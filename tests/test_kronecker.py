@@ -3,10 +3,11 @@ from itertools import permutations
 
 import pytest
 
+from weylbox import kronecker as kronecker_module
 from weylbox.config import BudgetError
-from weylbox.kronecker import (CharacterTable, GStretchSeries, class_size,
-                               det_stabilizer_invariant_mult, g_stretch,
-                               kronecker, sym_character)
+from weylbox.kronecker import (GStretchSeries, _character_row, _class_sizes,
+                               class_size, det_stabilizer_invariant_mult,
+                               g_stretch, kronecker, sym_character)
 from weylbox.partitions import Partition, partitions_of
 
 P = Partition
@@ -64,12 +65,44 @@ class TestCharacters:
                 math.factorial(n)
 
     def test_table_wrapper(self):
-        table = CharacterTable(3)
-        assert table.partitions == (P((3,)), P((2, 1)), P((1, 1, 1)))
-        assert table.row(P((2, 1))) == (-1, 0, 2)
+        assert tuple(partitions_of(3)) == (P((3,)), P((2, 1)), P((1, 1, 1)))
+        assert _character_row((2, 1)) == (-1, 0, 2)
+        assert _class_sizes(3) == (2, 3, 1)
+
+
+def class_sum_kronecker(lam, mu, nu):
+    """Reference: the class sum over cycle types, one sym_character per
+    cell (the per-query loop the cached rows replaced)."""
+    n = P(lam).size
+    total = 0
+    for rho in partitions_of(n):
+        total += (class_size(rho) * sym_character(lam, rho)
+                  * sym_character(mu, rho) * sym_character(nu, rho))
+    value, rem = divmod(total, math.factorial(n))
+    assert rem == 0 and value >= 0
+    return value
 
 
 class TestKronecker:
+    def test_class_sum_reference(self):
+        for n in range(1, 8):
+            parts = list(partitions_of(n))
+            for a in parts:
+                for b in parts:
+                    for c in parts:
+                        assert kronecker(a, b, c) == \
+                            class_sum_kronecker(a, b, c), (a, b, c)
+
+    def test_dimension_identity(self):
+        # chi_lam * chi_mu = sum_nu g(lam, mu, nu) chi_nu at the identity
+        for n in range(1, 10):
+            parts = list(partitions_of(n))
+            f = {lam: hook_length_syt_count(lam) for lam in parts}
+            for i, a in enumerate(parts):
+                for b in parts[i:]:
+                    assert f[a] * f[b] == sum(
+                        kronecker(a, b, c) * f[c] for c in parts), (a, b)
+
     def test_pairing_with_trivial(self):
         for n in range(1, 6):
             for lam in partitions_of(n):
@@ -103,6 +136,24 @@ class TestKronecker:
         assert kronecker(lam, mu, nu, table_cap=15) == 0
         with pytest.raises(BudgetError, match="n=6 > 5"):
             det_stabilizer_invariant_mult(P((3, 3)), 2, table_cap=5)
+
+    def test_cap_checked_before_cached_rows(self, monkeypatch):
+        # (14,1) x (8,7) holds (8,6,1) once: remove a box, then add one
+        lam, mu, nu = P((8, 7)), P((14, 1)), P((8, 6, 1))
+        assert kronecker(lam, mu, nu, table_cap=15) == 1
+        # the rows are cached now, and the default cap still refuses them
+        with pytest.raises(BudgetError, match="n=15 > 14"):
+            kronecker(lam, mu, nu)
+
+        def untouchable(*args):
+            raise AssertionError("character computed past the cap")
+
+        monkeypatch.setattr(kronecker_module, "_mn", untouchable)
+        rows, sizes = _character_row.cache_info(), _class_sizes.cache_info()
+        with pytest.raises(BudgetError, match="n=16 > 14"):
+            kronecker(P((16,)), P((15, 1)), P((9, 7)))
+        assert _character_row.cache_info() == rows
+        assert _class_sizes.cache_info() == sizes
 
 
 class TestDetStabilizer:

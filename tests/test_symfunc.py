@@ -1,11 +1,16 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylbox.config import BudgetError
+from weylbox import symfunc
+from weylbox.config import DEFAULT, BudgetError
 from weylbox.lr import LRQuery, lr_coefficient
-from weylbox.partitions import Partition, dim_weyl, iter_ssyt, partitions_of
-from weylbox.symfunc import (NonHomogeneousError, SymPoly, plethysm_expand,
-                             product_expand, schur, schur_expand)
+from weylbox.partitions import (Partition, dim_weyl, iter_ssyt, kostka,
+                                partitions_of, weak_compositions)
+from weylbox.symfunc import (NonHomogeneousError, SymPoly, _alphabet, _sort,
+                             _ways, plethysm_expand, product_expand, schur,
+                             schur_expand)
 
 P = Partition
 
@@ -95,6 +100,20 @@ class TestPlethysm:
         with pytest.raises(BudgetError, match="cap"):
             plethysm_expand(P((3,)), P((3,)), degree_cap=8)
 
+    def test_cap_checked_before_alphabet(self, monkeypatch):
+        alphabets, schurs = _alphabet.cache_info(), schur.cache_info()
+        with pytest.raises(BudgetError, match="degree 12 exceeds cap 10"):
+            plethysm_expand(P((2,)), P((3, 3)))
+        assert _alphabet.cache_info() == alphabets
+        assert schur.cache_info() == schurs
+
+        def untouchable(*args):
+            raise AssertionError("alphabet built past the cap")
+
+        monkeypatch.setattr(symfunc, "_alphabet", untouchable)
+        with pytest.raises(BudgetError, match="degree 12 exceeds cap 11"):
+            plethysm_expand(P((2, 1, 1)), P((2, 1)), degree_cap=11)
+
     def test_sym3_of_sym2(self):
         # classical: Sym^3(Sym^2) = S(6) + S(4,2) + S(2,2,2)
         assert plethysm_expand(P((3,)), P((2,))) == \
@@ -104,6 +123,69 @@ class TestPlethysm:
         for pi in partitions_of(3):
             for mu in partitions_of(2):
                 assert all(v > 0 for v in plethysm_expand(pi, mu).values())
+
+
+def copies_plethysm(pi: Partition, mu: Partition,
+                    degree_cap: int | None = None) -> dict[Partition, int]:
+    """Reference: the copy-per-letter search the grouped alphabet replaced.
+
+    Plethysm constants a^lam_{pi,mu} by monomial substitution.
+
+    The monomials of s_mu (with multiplicity, one per semistandard tableau)
+    are listed in N = |pi|*|mu| variables; s_pi is then evaluated with the
+    monomial list as its alphabet, at each dominant monomial x^lam by a
+    search over the multisets of |pi| letters that sum to lam, and the
+    result expanded in the Schur basis.
+    """
+    pi, mu = Partition(pi), Partition(mu)
+    if degree_cap is None:
+        degree_cap = DEFAULT.plethysm_degree_cap
+    degree = pi.size * mu.size
+    if degree > degree_cap:
+        raise BudgetError(
+            f"plethysm degree {degree} exceeds cap {degree_cap}")
+    if not pi:
+        return {Partition(): 1}
+    N, p = degree, pi.size
+    # the alphabet: each monomial x^e of s_mu, repeated K_{mu,e} times; a
+    # target lam has lam[t] <= degree // (t + 1), so larger e[t] never fit
+    caps = [min(mu.size, degree // (t + 1)) for t in range(N)]
+    letters = [e for e in weak_compositions(mu.size, caps)
+               for _ in range(kostka(mu, e))]
+    # exponent vectors packed one field per variable, with a guard bit on
+    # top of each field: e <= rem componentwise iff every guard bit survives
+    # ((rem | guard) - e), and rem - e is then a plain subtraction
+    width = degree.bit_length() + 1
+    guard = sum(1 << (width * t + width - 1) for t in range(N))
+
+    def pack(expo) -> int:
+        return sum(v << (width * t) for t, v in enumerate(expo))
+
+    codes = [pack(e) for e in letters]
+    last_letters: dict[int, list[int]] = {}
+    for i, c in enumerate(codes):
+        last_letters.setdefault(c, []).append(i)
+    chosen: list[int] = []
+
+    def count(start: int, rem: int) -> int:
+        # multisets of p - len(chosen) letters, from index start on, summing
+        # to rem; each is weighted by s_pi's m-coefficient K_{pi,m} at its
+        # letter multiplicities m
+        if len(chosen) == p - 1:
+            return sum(kostka(pi, Counter(chosen + [i]).values())
+                       for i in last_letters.get(rem, ()) if i >= start)
+        total = 0
+        guarded = rem | guard
+        for i in range(start, len(codes)):
+            if (guarded - codes[i]) & guard == guard:
+                chosen.append(i)
+                total += count(i, rem - codes[i])
+                chosen.pop()
+        return total
+
+    acc = {lam: count(0, pack(lam)) for lam in partitions_of(degree, max_length=N)}
+    poly = SymPoly(N, acc)
+    return {k: int(v) for k, v in schur_expand(poly).items()}
 
 
 def literal_plethysm(pi, mu):
@@ -128,9 +210,14 @@ def literal_plethysm(pi, mu):
     return schur_expand(SymPoly(N, acc))
 
 
-PLETHYSM_PAIRS = [(pi, mu) for a in range(1, 7) for b in range(1, 7)
-                  if a * b <= 6
-                  for pi in partitions_of(a) for mu in partitions_of(b)]
+def plethysm_pairs(max_degree):
+    """Every (pi, mu) with nonempty shapes and |pi|*|mu| <= max_degree."""
+    return [(pi, mu) for a in range(1, max_degree + 1)
+            for b in range(1, max_degree // a + 1)
+            for pi in partitions_of(a) for mu in partitions_of(b)]
+
+
+PLETHYSM_PAIRS = plethysm_pairs(6)
 
 partition_up_to_6 = st.integers(0, 6).flatmap(
     lambda n: st.sampled_from(list(partitions_of(n, max_length=5)) or [P()]))
@@ -150,6 +237,19 @@ class TestAgainstIndependentRoutes:
     @settings(max_examples=40, deadline=None)
     def test_plethysm_is_literal_substitution(self, pair):
         assert plethysm_expand(*pair) == literal_plethysm(*pair)
+
+    def test_grouped_alphabet_is_copies_search(self):
+        pairs = plethysm_pairs(8)
+        assert len(pairs) == 167
+        for pi, mu in pairs + [(P((1,)), P((5, 3, 1, 1))), (P((2,)), P((3, 2)))]:
+            assert plethysm_expand(pi, mu) == copies_plethysm(pi, mu), (pi, mu)
+
+    def test_ways_counts_weak_compositions(self):
+        for j in range(1, 7):
+            for m in range(1, 7):
+                brute = Counter(_sort(c) for c in weak_compositions(j, [j] * m))
+                assert brute == {tuple(rho): _ways(rho, m)
+                                 for rho in partitions_of(j, max_length=m)}
 
     def test_literal_reference(self):
         assert literal_plethysm(P((3,)), P((2,))) == \
