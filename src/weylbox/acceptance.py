@@ -331,10 +331,6 @@ def run_criterion(key: str, budgets: Budgets = DEFAULT) -> CriterionResult:
     return CriterionResult(key, passed, detail, time.perf_counter() - t0)
 
 
-def run_all(budgets: Budgets = DEFAULT) -> list[CriterionResult]:
-    return [run_criterion(key, budgets) for key, _ in CRITERIA]
-
-
 def format_result(res: CriterionResult) -> str:
     flag = "PASS" if res.passed else "FAIL"
     return f"{flag} {res.key} ({res.seconds:.1f}s): {res.detail}"

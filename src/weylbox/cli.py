@@ -49,8 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "and the explicit obstruction family")
     parser.add_argument("--config", metavar="PATH",
                         help="JSON file overriding resource budgets")
-    parser.add_argument("--json", action="store_true", default=True,
-                        help="JSON output (the only mode; kept for stability)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     lr = sub.add_parser("lr", help="Littlewood-Richardson coefficients")
@@ -123,10 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, required=True)
     p = weyl_sub.add_parser("kempf", help="stability criterion for perm")
     p.add_argument("--n", type=int, required=True)
-
-    p = sub.add_parser("symcheck", help="symmetry characterization")
-    p.add_argument("kind", choices=("det", "perm"))
-    p.add_argument("--size", type=int, required=True)
 
     p = sub.add_parser("magic", help="magic squares and basic invariants")
     p.add_argument("n", type=int)
@@ -238,14 +232,16 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets) -> dict:
                                              dim_cap=budgets.weyl_dim_cap)
             return {"invariant_dim": dim}
         if args.weyl_command == "symcheck":
-            return _symcheck_payload(args.kind, args.size)
+            dim, basis = symmetry_characterization_space(args.kind, args.size)
+            letter = "y" if args.kind == "det" else "x"
+            names = [f"{letter}{i + 1}{j + 1}" for i in range(args.size)
+                     for j in range(args.size)]
+            return {"dimension": dim,
+                    "fixed_line": [p.to_string(names) for p in basis]}
         result = kempf_irreducibility_check(args.n)
         return {"stable": result.stable, "degenerate": result.degenerate,
                 "torus_characters_distinct": result.torus_characters_distinct,
                 "permutations_transitive": result.permutations_transitive}
-
-    if cmd == "symcheck":
-        return _symcheck_payload(args.kind, args.size)
 
     if cmd == "magic":
         squares, reps = magic_orbits(
@@ -292,15 +288,6 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets) -> dict:
         return payload
 
     raise ValueError(f"unhandled command {cmd}")  # pragma: no cover
-
-
-def _symcheck_payload(kind: str, size: int) -> dict:
-    dim, basis = symmetry_characterization_space(kind, size)
-    names = ([f"y{i + 1}{j + 1}" for i in range(size) for j in range(size)]
-             if kind == "det" else
-             [f"x{i + 1}{j + 1}" for i in range(size) for j in range(size)])
-    return {"dimension": dim,
-            "fixed_line": [p.to_string(names) for p in basis]}
 
 
 def run(argv: list[str]) -> int:

@@ -20,7 +20,8 @@ from fractions import Fraction
 from . import linalg
 from .config import DEFAULT, BudgetError
 from .partitions import Partition, is_even, weak_compositions
-from .weylmod import MultiPoly, perm_generators, perm_stabilizer_invariants
+from .weylmod import (MultiPoly, _grid_relabels, _monomial_kernel,
+                      _torus_monomials, perm_stabilizer_invariants)
 
 _TRACE_SEED = 91
 
@@ -136,42 +137,12 @@ def basic_invariant_poly(A: MagicSquare) -> MultiPoly:
     return MultiPoly(n * n, terms)
 
 
-def _magic_monomial_space(n: int, r: int) -> list[tuple[int, ...]]:
-    """Degree-nr monomials in the n x n matrix entries whose row and column
-    degrees are all equal; these are exactly the weight-r magic squares,
-    derived here from the torus condition rather than reusing the magic
-    enumerator. The degrees total nr, so every row degree must be r: a branch
-    stops as soon as a completed row misses it."""
-    nv = n * n
-    out = []
-
-    def rec(pos: int, remaining: int, prefix: list[int]):
-        if pos == nv - 1:
-            prefix.append(remaining)
-            expo = tuple(prefix)
-            rows = [sum(expo[i * n:(i + 1) * n]) for i in range(n)]
-            cols = [sum(expo[i * n + j] for i in range(n)) for j in range(n)]
-            if len(set(rows)) == 1 and len(set(cols)) == 1:
-                out.append(expo)
-            prefix.pop()
-            return
-        for v in range(remaining, -1, -1):
-            prefix.append(v)
-            if (pos + 1) % n or sum(prefix[pos + 1 - n:]) == r:
-                rec(pos + 1, remaining - v, prefix)
-            prefix.pop()
-
-    if nv == 1:
-        return [(n * r,)]
-    rec(0, n * r, [])
-    return out
-
-
 def invariant_ring_dimension_check(n: int, r: int, **caps) -> bool:
     """Two independent computations of the dimension of the degree-nr
     invariant space must agree: the number of magic-square orbits (whose
     p_A are verified linearly independent by exact rank) and the fixed
-    subspace of the permutation action on torus-allowed monomials."""
+    subspace of the row and column permutations on the torus-fixed
+    monomials, which never reads the magic enumerator."""
     if n > 3:
         raise ValueError("dimension check is budgeted for n <= 3")
     reps = magic_orbit_representatives(n, r, **caps)
@@ -186,26 +157,7 @@ def invariant_ring_dimension_check(n: int, r: int, **caps) -> bool:
         if linalg.rank(rows, len(polys)) != len(polys):
             raise RuntimeError("basic invariants p_A are linearly dependent")
 
-    space = _magic_monomial_space(n, r)
-    sp_index = {e: i for i, e in enumerate(space)}
-    stacked = []
-    for gen in perm_generators(n):
-        row_map = {}
-        col_map = {}
-        for e in space:
-            mat = [list(e[i * n:(i + 1) * n]) for i in range(n)]
-            rmat = tuple(tuple(mat[gen[i]][j] for j in range(n)) for i in range(n))
-            cmat = tuple(tuple(mat[i][gen[j]] for j in range(n)) for i in range(n))
-            row_map[e] = tuple(v for row in rmat for v in row)
-            col_map[e] = tuple(v for row in cmat for v in row)
-        for mapping in (row_map, col_map):
-            for e in space:
-                row = [0] * len(space)
-                row[sp_index[mapping[e]]] += 1
-                row[sp_index[e]] -= 1
-                if any(row):
-                    stacked.append(row)
-    fixed_dim = len(space) - (linalg.rank(stacked, len(space)) if stacked else 0)
+    fixed_dim = len(_monomial_kernel(_torus_monomials(n, r), _grid_relabels(n)))
     if fixed_dim != len(reps):
         raise RuntimeError(
             f"invariant dimension mismatch: {len(reps)} orbit representatives"

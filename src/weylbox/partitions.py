@@ -266,33 +266,8 @@ def dim_weyl(lam: Partition, n: int) -> int:
 
 
 def count_ssyt(shape: Partition, max_entry: int) -> int:
-    """Count semistandard fillings without materializing them."""
-    shape = Partition(shape)
-    if not shape:
-        return 1
-    if len(shape) > max_entry:
-        return 0
-    col_len = conjugate(shape).padded(shape[0])
-    cells = [(r, c) for r, width in enumerate(shape) for c in range(width)]
-    rows = [[0] * width for width in shape]
-
-    def count(idx: int) -> int:
-        if idx == len(cells):
-            return 1
-        r, c = cells[idx]
-        lo = 1
-        if c > 0:
-            lo = rows[r][c - 1]
-        if r > 0:
-            lo = max(lo, rows[r - 1][c] + 1)
-        hi = max_entry - (col_len[c] - r - 1)
-        total = 0
-        for v in range(lo, hi + 1):
-            rows[r][c] = v
-            total += count(idx + 1)
-        return total
-
-    return count(0)
+    """Count the semistandard fillings that ``iter_ssyt`` yields."""
+    return sum(1 for _ in iter_ssyt(shape, max_entry))
 
 
 def canonical_tableau(lam: Partition) -> Tableau:

@@ -10,9 +10,15 @@ sum_S det Z[rows, S] det G[S, c] over the l-subsets S, so e_T(Z G) is a
 product of integer factor polynomials, one per distinct column set, and the
 basis is the case G = I. An exact integer solve against the basis then gives
 the action matrix. On top of the models sit the fixed-subspace solvers:
-invariants of the permanent stabilizer, the symmetry characterizations of
-the determinant and the permanent, and the concrete irreducibility
+invariants of the permanent stabilizer and the concrete irreducibility
 criterion used for the permanent's stability check.
+
+The symmetry characterizations of the determinant and the permanent, and
+the invariant-ring check in ``obstructions``, need no module: they are fixed
+spaces of operators on monomials. An operator maps a monomial to its image
+{monomial: coeff}, either a derivation sum x_t d/dx_s (``_shift``) or a
+relabelling f -> f(x_image) - f (``_relabel``), and ``_monomial_kernel``
+solves all operators on the torus-fixed monomials by one exact nullspace.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from operator import add
 from . import linalg
 from .config import DEFAULT, BudgetError
 from .partitions import (Partition, Tableau, canonical_tableau, dim_weyl,
-                         enumerate_ssyt, weak_compositions)
+                         enumerate_ssyt)
 
 _HWV_SEED = 178
 _TRIALS_PER_CHECK = 5
@@ -98,34 +104,6 @@ class MultiPoly:
                 else:
                     out.pop(e, None)
         return MultiPoly(self.nvars, out)
-
-    def derivative(self, idx: int) -> "MultiPoly":
-        out = {}
-        for e, c in self.terms.items():
-            if e[idx]:
-                ne = list(e)
-                ne[idx] -= 1
-                out[tuple(ne)] = c * e[idx]
-        return MultiPoly(self.nvars, out)
-
-    def permute_variables(self, perm: list[int]) -> "MultiPoly":
-        """Exponent of variable t moves to perm[t]."""
-        out = {}
-        for e, c in self.terms.items():
-            ne = [0] * self.nvars
-            for t, k in enumerate(e):
-                if k:
-                    ne[perm[t]] += k
-            key = tuple(ne)
-            v = out.get(key, 0) + c
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-        return MultiPoly(self.nvars, out)
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], object]]:
         return sorted(self.terms.items(), reverse=True)
@@ -461,18 +439,96 @@ def perm_stabilizer_invariants(gamma: Partition, n: int,
 
 
 # ---------------------------------------------------------------------------
-# symmetry characterization of det and perm
+# fixed spaces of operators on monomials
 # ---------------------------------------------------------------------------
 
-def _row_col_degrees(expo: tuple[int, ...], m: int):
-    row = [0] * m
-    col = [0] * m
-    for t, k in enumerate(expo):
-        if k:
-            row[t // m] += k
-            col[t % m] += k
-    return row, col
+def _torus_monomials(n: int, r: int) -> list[tuple[int, ...]]:
+    """Degree-nr monomials in the n x n matrix entries whose row and column
+    degrees are all r, in lexicographically decreasing order: the monomials
+    fixed by the torus of pairs of determinant-one diagonal matrices, and so
+    exactly the weight-r magic squares, derived here from the torus condition
+    rather than from the magic enumerator. A branch stops as soon as a
+    completed row misses r."""
+    nv = n * n
+    out = []
 
+    def rec(pos: int, remaining: int, prefix: list[int]):
+        if pos == nv - 1:
+            prefix.append(remaining)
+            expo = tuple(prefix)
+            rows = [sum(expo[i * n:(i + 1) * n]) for i in range(n)]
+            cols = [sum(expo[i * n + j] for i in range(n)) for j in range(n)]
+            if len(set(rows)) == 1 and len(set(cols)) == 1:
+                out.append(expo)
+            prefix.pop()
+            return
+        for v in range(remaining, -1, -1):
+            prefix.append(v)
+            if (pos + 1) % n or sum(prefix[pos + 1 - n:]) == r:
+                rec(pos + 1, remaining - v, prefix)
+            prefix.pop()
+
+    if nv == 1:
+        return [(n * r,)]
+    rec(0, n * r, [])
+    return out
+
+
+def _shift(pairs):
+    """The derivation sum x_t d/dx_s over the pairs (s, t), as a map from a
+    monomial to its image {monomial: coeff}."""
+    def op(e):
+        out = {}
+        for s, t in pairs:
+            if e[s]:
+                ne = list(e)
+                ne[s] -= 1
+                ne[t] += 1
+                key = tuple(ne)
+                out[key] = out.get(key, 0) + e[s]
+        return out
+    return op
+
+
+def _relabel(image):
+    """f -> f(x_image) - f, where the exponent of variable t moves to
+    image[t], as a map from a monomial to its image {monomial: coeff}."""
+    def op(e):
+        ne = [0] * len(e)
+        for t, k in enumerate(e):
+            ne[image[t]] += k
+        ne = tuple(ne)
+        return {} if ne == e else {ne: 1, e: -1}
+    return op
+
+
+def _grid_relabels(m: int) -> list:
+    """Row and column permutations of an m x m matrix of variables, one of
+    each per S_m generator."""
+    nv = m * m
+    return [_relabel(sub) for gen in perm_generators(m)
+            for sub in ([_var(m, gen[t // m], t % m) for t in range(nv)],
+                        [_var(m, t // m, gen[t % m]) for t in range(nv)])]
+
+
+def _monomial_kernel(monos: list[tuple[int, ...]], ops) -> list[dict]:
+    """Basis of the polynomials in the span of monos that every operator
+    kills, as dicts {monomial: Fraction}. The images of all operators are
+    stacked into one system, solved by one exact nullspace."""
+    rows = []
+    for op in ops:
+        index: dict[tuple[int, ...], list] = {}
+        for j, e in enumerate(monos):
+            for key, c in op(e).items():
+                index.setdefault(key, [0] * len(monos))[j] += c
+        rows.extend(index.values())
+    return [{e: c for e, c in zip(monos, vec) if c}
+            for vec in linalg.nullspace(rows, len(monos))]
+
+
+# ---------------------------------------------------------------------------
+# symmetry characterization of det and perm
+# ---------------------------------------------------------------------------
 
 def det_polynomial(m: int) -> MultiPoly:
     return minor(m, list(range(m)), list(range(m)))
@@ -489,62 +545,18 @@ def perm_polynomial(m: int) -> MultiPoly:
     return MultiPoly(nv, terms)
 
 
-def _kernel_intersection(basis: list[dict], operators) -> list[dict]:
-    """Iteratively intersect the kernel of each operator with the current
-    subspace; vectors are sparse dicts over monomials."""
-    for op in operators:
-        if not basis:
-            return []
-        images = [op(vec) for vec in basis]
-        support = sorted({m for img in images for m in img})
-        if support:
-            sup_index = {m: i for i, m in enumerate(support)}
-            rows = [[0] * len(basis) for _ in support]
-            for j, img in enumerate(images):
-                for mkey, c in img.items():
-                    rows[sup_index[mkey]][j] = c
-            combos = linalg.nullspace(rows, len(basis))
-        else:
-            combos = [tuple(Fraction(1) if i == j else Fraction(0)
-                            for j in range(len(basis)))
-                      for i in range(len(basis))]
-        new_basis = []
-        for combo in combos:
-            vec: dict = {}
-            for coeff, old in zip(combo, basis):
-                if coeff == 0:
-                    continue
-                for mkey, c in old.items():
-                    v = vec.get(mkey, 0) + coeff * c
-                    if v:
-                        vec[mkey] = v
-                    else:
-                        vec.pop(mkey, None)
-            if vec:
-                new_basis.append(vec)
-        basis = new_basis
-    return basis
-
-
-def _sparse_from_poly(p: MultiPoly) -> dict:
-    return dict(p.terms)
-
-
-def _poly_from_sparse(nvars: int, vec: dict) -> MultiPoly:
-    return MultiPoly(nvars, vec)
-
-
 def symmetry_characterization_space(kind: str, size: int) -> tuple[int, list[MultiPoly]]:
     """Dimension and basis of the space of degree-m forms on an m x m matrix
     sharing the symmetries of det (kind="det") or perm (kind="perm").
 
-    det: joint kernel, inside degree-m forms, of the infinitesimal left and
-    right sl_m actions (off-diagonal derivations plus diagonal differences)
-    together with transpose symmetry.
-
-    perm: monomials whose row and column degrees are all equal (the torus
-    constraint from the product-one condition on diagonal factors), fixed by
-    row permutations, column permutations, and transpose.
+    Both start from the torus-fixed monomials, whose row and column degrees
+    are all 1: for det the diagonal-difference derivations act on monomials
+    by the row and column degree differences, for perm the diagonal factors
+    have product one. On their span, det's space is the joint kernel of the
+    infinitesimal left and right sl_m actions (the off-diagonal derivations)
+    and of the transpose; perm's is fixed by the row and column permutations
+    and the transpose. The basis is one exact nullspace of all these
+    operators at once.
     """
     if size not in (2, 3):
         raise ValueError(f"unsupported size {size}: only 2 and 3 are in budget")
@@ -552,76 +564,15 @@ def symmetry_characterization_space(kind: str, size: int) -> tuple[int, list[Mul
         raise ValueError(f"kind must be 'det' or 'perm', got {kind!r}")
     m = size
     nv = m * m
-
+    ops = [_relabel([_var(m, t % m, t // m) for t in range(nv)])]  # transpose
     if kind == "det":
-        monos = list(weak_compositions(m, (m,) * nv))
-        # the diagonal-difference derivations act diagonally on monomials
-        # with eigenvalue (row or column degree difference): their joint
-        # kernel is the span of monomials with constant row and column
-        # degree vectors
-        filtered = [e for e in monos
-                    if len(set(_row_col_degrees(e, m)[0])) == 1
-                    and len(set(_row_col_degrees(e, m)[1])) == 1]
-        basis = [{e: 1} for e in filtered]
-
-        operators = []
-        for a in range(m):
-            for b in range(m):
-                if a == b:
-                    continue
-
-                def left_op(vec, a=a, b=b):
-                    # sum_j y_bj d/dy_aj
-                    p = _poly_from_sparse(nv, vec)
-                    out = MultiPoly(nv)
-                    for j in range(m):
-                        out = out + (p.derivative(_var(m, a, j))
-                                     * MultiPoly.variable(nv, _var(m, b, j)))
-                    return _sparse_from_poly(out)
-
-                def right_op(vec, a=a, b=b):
-                    # sum_i y_ia d/dy_ib
-                    p = _poly_from_sparse(nv, vec)
-                    out = MultiPoly(nv)
-                    for i in range(m):
-                        out = out + (p.derivative(_var(m, i, b))
-                                     * MultiPoly.variable(nv, _var(m, i, a)))
-                    return _sparse_from_poly(out)
-
-                operators.append(left_op)
-                operators.append(right_op)
-
-        transpose_perm = [_var(m, t % m, t // m) for t in range(nv)]
-
-        def transpose_op(vec):
-            p = _poly_from_sparse(nv, vec)
-            return _sparse_from_poly(p.permute_variables(transpose_perm) - p)
-
-        operators.append(transpose_op)
-        result = _kernel_intersection(basis, operators)
-        return len(result), [_poly_from_sparse(nv, v) for v in result]
-
-    # perm: torus filter plus finite generators
-    monos = [e for e in weak_compositions(m, (m,) * nv)
-             if len(set(_row_col_degrees(e, m)[0])) == 1
-             and len(set(_row_col_degrees(e, m)[1])) == 1]
-    basis = [{e: 1} for e in monos]
-    substitutions = []
-    for gen in perm_generators(m):
-        row_perm = [_var(m, gen[t // m], t % m) for t in range(nv)]
-        col_perm = [_var(m, t // m, gen[t % m]) for t in range(nv)]
-        substitutions.append(row_perm)
-        substitutions.append(col_perm)
-    substitutions.append([_var(m, t % m, t // m) for t in range(nv)])  # transpose
-
-    operators = []
-    for sub in substitutions:
-        def op(vec, sub=sub):
-            p = _poly_from_sparse(nv, vec)
-            return _sparse_from_poly(p.permute_variables(sub) - p)
-        operators.append(op)
-    result = _kernel_intersection(basis, operators)
-    return len(result), [_poly_from_sparse(nv, v) for v in result]
+        for a, b in itertools.permutations(range(m), 2):
+            ops.append(_shift([(_var(m, a, j), _var(m, b, j)) for j in range(m)]))
+            ops.append(_shift([(_var(m, i, b), _var(m, i, a)) for i in range(m)]))
+    else:
+        ops.extend(_grid_relabels(m))
+    basis = _monomial_kernel(_torus_monomials(m, 1), ops)
+    return len(basis), [MultiPoly(nv, vec) for vec in basis]
 
 
 def symmetry_characterization_dim(kind: str, size: int) -> int:

@@ -143,13 +143,26 @@ class TestWeyl:
         code, out = invoke(capsys, "weyl", "symcheck", "perm", "--size", "2")
         assert code == 0 and out["payload"]["dimension"] == 1
 
+    @pytest.mark.parametrize("kind,size,line", [
+        ("det", 2, "-y11*y22 + y12*y21"),
+        ("det", 3, "-y11*y22*y33 + y11*y23*y32 + y12*y21*y33 - y12*y23*y31"
+                   " - y13*y21*y32 + y13*y22*y31"),
+        ("perm", 2, "x11*x22 + x12*x21"),
+        ("perm", 3, "x11*x22*x33 + x11*x23*x32 + x12*x21*x33 + x12*x23*x31"
+                    " + x13*x21*x32 + x13*x22*x31"),
+    ])
+    def test_symcheck_payload(self, capsys, kind, size, line):
+        code, out = invoke(capsys, "weyl", "symcheck", kind, "--size", str(size))
+        assert code == 0
+        assert out["payload"] == {"dimension": 1, "fixed_line": [line]}
+
 
 class TestTopLevel:
     def test_symcheck(self, capsys):
-        code, out = invoke(capsys, "symcheck", "det", "--size", "2")
-        assert code == 0
-        assert out["payload"]["dimension"] == 1
-        assert "y11*y22" in out["payload"]["fixed_line"][0]
+        # the top-level copy of `weyl symcheck` is gone
+        with pytest.raises(SystemExit) as exc:
+            run(["symcheck", "det", "--size", "2"])
+        assert exc.value.code == 2
 
     def test_magic(self, capsys):
         code, out = invoke(capsys, "magic", "3", "1", "--polys")

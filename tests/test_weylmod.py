@@ -6,8 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from weylbox import linalg
 from weylbox.config import BudgetError
-from weylbox.partitions import Partition, Tableau, dim_weyl, partitions_of, is_even
-from weylbox.weylmod import (MultiPoly, deruyts_generator,
+from weylbox.partitions import (Partition, Tableau, dim_weyl, is_even,
+                                partitions_of, weak_compositions)
+from weylbox.weylmod import (MultiPoly, _monomial_kernel, _relabel, _shift,
+                             _torus_monomials, deruyts_generator,
                              det_polynomial, fixed_subspace_dim,
                              group_action_matrix, highest_weight_vector,
                              kempf_irreducibility_check,
@@ -297,6 +299,169 @@ class TestSymmetryCharacterization:
             symmetry_characterization_dim("imm", 2)
 
 
+# ---------------------------------------------------------------------------
+# references for the monomial-operator kernel: the polynomial-level
+# operators and the one-operator-at-a-time kernel intersection it replaced
+# ---------------------------------------------------------------------------
+
+def derivative(p, idx):
+    out = {}
+    for e, c in p.terms.items():
+        if e[idx]:
+            ne = list(e)
+            ne[idx] -= 1
+            out[tuple(ne)] = c * e[idx]
+    return MultiPoly(p.nvars, out)
+
+
+def permute_variables(p, perm):
+    """Exponent of variable t moves to perm[t]."""
+    out = {}
+    for e, c in p.terms.items():
+        ne = [0] * p.nvars
+        for t, k in enumerate(e):
+            if k:
+                ne[perm[t]] += k
+        key = tuple(ne)
+        v = out.get(key, 0) + c
+        if v:
+            out[key] = v
+        else:
+            out.pop(key, None)
+    return MultiPoly(p.nvars, out)
+
+
+def sl_left(m, a, b, p):
+    # sum_j y_bj d/dy_aj
+    nv = m * m
+    out = MultiPoly(nv)
+    for j in range(m):
+        out = out + derivative(p, a * m + j) * MultiPoly.variable(nv, b * m + j)
+    return out
+
+
+def sl_right(m, a, b, p):
+    # sum_i y_ia d/dy_ib
+    nv = m * m
+    out = MultiPoly(nv)
+    for i in range(m):
+        out = out + derivative(p, i * m + b) * MultiPoly.variable(nv, i * m + a)
+    return out
+
+
+def kernel_intersection(basis: list[dict], operators) -> list[dict]:
+    """Iteratively intersect the kernel of each operator with the current
+    subspace; vectors are sparse dicts over monomials."""
+    for op in operators:
+        if not basis:
+            return []
+        images = [op(vec) for vec in basis]
+        support = sorted({m for img in images for m in img})
+        if support:
+            sup_index = {m: i for i, m in enumerate(support)}
+            rows = [[0] * len(basis) for _ in support]
+            for j, img in enumerate(images):
+                for mkey, c in img.items():
+                    rows[sup_index[mkey]][j] = c
+            combos = linalg.nullspace(rows, len(basis))
+        else:
+            combos = [tuple(F(1) if i == j else F(0)
+                            for j in range(len(basis)))
+                      for i in range(len(basis))]
+        new_basis = []
+        for combo in combos:
+            vec: dict = {}
+            for coeff, old in zip(combo, basis):
+                if coeff == 0:
+                    continue
+                for mkey, c in old.items():
+                    v = vec.get(mkey, 0) + coeff * c
+                    if v:
+                        vec[mkey] = v
+                    else:
+                        vec.pop(mkey, None)
+            if vec:
+                new_basis.append(vec)
+        basis = new_basis
+    return basis
+
+
+def linear_extension(table):
+    """The operator on sparse vectors that sends monomial e to table[e]."""
+    def op(vec):
+        out = {}
+        for e, c in vec.items():
+            for key, v in table[e].items():
+                out[key] = out.get(key, 0) + c * v
+        return {key: v for key, v in out.items() if v}
+    return op
+
+
+small_monomials = st.tuples(st.integers(0, 3), st.integers(0, 3))
+
+
+@st.composite
+def operator_systems(draw):
+    monos = draw(st.lists(small_monomials, min_size=1, max_size=8, unique=True))
+    image = st.dictionaries(small_monomials, st.integers(-2, 2), max_size=3)
+    tables = draw(st.lists(st.fixed_dictionaries({e: image for e in monos}),
+                           max_size=4))
+    return monos, tables
+
+
+def as_rows(vectors, monos):
+    return [[vec.get(e, 0) for e in monos] for vec in vectors]
+
+
+class TestMonomialKernel:
+    @given(operator_systems())
+    @settings(max_examples=200, deadline=None)
+    def test_spans_the_intersection(self, system):
+        monos, tables = system
+        got = _monomial_kernel(monos, [table.__getitem__ for table in tables])
+        ref = kernel_intersection([{e: 1} for e in monos],
+                                  [linear_extension(t) for t in tables])
+        assert len(got) == len(ref)
+        assert linalg.rank(as_rows(got + ref, monos), len(monos)) == len(ref)
+        for vec in got:
+            assert all(vec.values()) and set(vec) <= set(monos)
+            for table in tables:
+                assert linear_extension(table)(vec) == {}
+
+    @given(st.sampled_from([2, 3]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_shift_is_the_sl_operator(self, m, data):
+        a, b = data.draw(st.permutations(range(m)))[:2]
+        e = tuple(data.draw(st.lists(st.integers(0, 3), min_size=m * m,
+                                     max_size=m * m)))
+        p = MultiPoly(m * m, {e: 1})
+        left = _shift([(a * m + j, b * m + j) for j in range(m)])
+        right = _shift([(i * m + b, i * m + a) for i in range(m)])
+        assert left(e) == sl_left(m, a, b, p).terms
+        assert right(e) == sl_right(m, a, b, p).terms
+
+    @given(st.integers(1, 9), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_relabel_is_substitution_minus_identity(self, nv, data):
+        image = data.draw(st.permutations(range(nv)))
+        e = tuple(data.draw(st.lists(st.integers(0, 3), min_size=nv,
+                                     max_size=nv)))
+        p = MultiPoly(nv, {e: 1})
+        assert _relabel(image)(e) == (permute_variables(p, image) - p).terms
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("r", [0, 1, 2, 3])
+    def test_torus_monomials_are_filtered_compositions(self, n, r):
+        def constant_degrees(e):
+            rows = [sum(e[i * n:(i + 1) * n]) for i in range(n)]
+            cols = [sum(e[i * n + j] for i in range(n)) for j in range(n)]
+            return len(set(rows)) == 1 and len(set(cols)) == 1
+
+        expected = [e for e in weak_compositions(n * r, (n * r,) * (n * n))
+                    if constant_degrees(e)]
+        assert _torus_monomials(n, r) == expected
+
+
 class TestKempf:
     def test_small_cases(self):
         for n in (2, 3):
@@ -317,11 +482,6 @@ class TestMultiPoly:
         y = MultiPoly.variable(2, 1)
         p = (x + y) * (x + y)
         assert p.terms == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
-
-    def test_derivative(self):
-        x = MultiPoly.variable(2, 0)
-        p = x * x * x
-        assert p.derivative(0).terms == {(2, 0): 3}
 
     def test_to_string_stable(self):
         x = MultiPoly.variable(2, 0)
