@@ -158,9 +158,13 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets) -> dict:
             return {"tableau": value, "hive": value, "agree": True}
         if args.lr_command == "positive":
             return {"positive": lr_positive(q, side_cap=budgets.hive_side_cap)}
-        series = lr_stretch(q, args.K, max_period=args.max_period,
-                            holdout=args.holdout,
-                            side_cap=budgets.hive_side_cap)
+        series = lr_stretch(
+            q, args.K,
+            max_period=(budgets.max_period if args.max_period is None
+                        else args.max_period),
+            max_degree=budgets.max_degree,
+            holdout=budgets.holdout if args.holdout is None else args.holdout,
+            side_cap=budgets.hive_side_cap)
         tableau_values = []
         for k in range(1, args.K + 1):
             qk = q.scale(k)
@@ -211,7 +215,10 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets) -> dict:
             return {"multiplicity": det_stabilizer_invariant_mult(
                 args.lam, args.m, table_cap=budgets.char_table_max_n)}
         series = g_stretch(args.lam, args.m, args.K,
-                           table_cap=budgets.char_table_max_n)
+                           table_cap=budgets.char_table_max_n,
+                           max_period=budgets.max_period,
+                           max_degree=budgets.max_degree,
+                           holdout=budgets.holdout)
         return {"values": list(series.values),
                 "fit": series.fit.to_json() if series.fit else None}
 

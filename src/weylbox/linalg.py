@@ -116,12 +116,6 @@ def solve_columns(A_rows, B_rows) -> list[list[Fraction]]:
     return X
 
 
-def mat_mul(A, B) -> list[list[Fraction]]:
-    n, k, m = len(A), len(B), len(B[0])
-    return [[sum((Fraction(A[i][t]) * Fraction(B[t][j]) for t in range(k)),
-                 Fraction(0)) for j in range(m)] for i in range(n)]
-
-
 def identity(n: int) -> list[list[Fraction]]:
     return [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
             for i in range(n)]

@@ -33,10 +33,6 @@ class UnboundedPolytopeError(ValueError):
     """A coordinate has no finite minimum or maximum."""
 
 
-class NoVertexError(ValueError):
-    """The polyhedron has no vertex reachable by lexicographic minimization."""
-
-
 class FitError(ValueError):
     """No quasi-polynomial within the requested period/degree bounds."""
 
@@ -543,42 +539,6 @@ def count_integer_points(P: Polytope) -> int:
     Raises UnboundedPolytopeError when some coordinate has no finite
     range."""
     return _Reduced(P.A, P.b).count(1)
-
-
-def vertex(P: Polytope) -> tuple[Fraction, ...]:
-    """An exact vertex found by minimizing coordinates lexicographically.
-
-    Deterministic: minimizes x_0, pins it, minimizes x_1, and so on. Raises
-    InfeasibleError for empty P and NoVertexError when some stage is
-    unbounded below (in particular whenever P has a lineality direction).
-    """
-    n = P.dim
-    rows = list(P.A)
-    rhs = list(P.b)
-    if not feasible(P):
-        raise InfeasibleError("empty polytope")
-    values: list[Fraction] = []
-    for i in range(n):
-        unit = [0] * n
-        unit[i] = 1
-        status, opt = _simplex(rows, rhs, unit)
-        if status == "unbounded":
-            raise NoVertexError("no vertex")
-        rows += [unit, [-u for u in unit]]
-        rhs += [opt, -opt]
-        values.append(opt)
-    return tuple(values)
-
-
-def smallest_integral_dilation(P: Polytope) -> tuple[int, tuple[int, ...]]:
-    """A dilation factor k with an integral point of kP, via the denominators
-    of the deterministic vertex. This is an upper-bound witness: k is the lcm
-    of the vertex denominators, not necessarily the least dilation with an
-    integer point."""
-    v = vertex(P)
-    k = lcm(*(x.denominator for x in v)) if v else 1
-    point = tuple(int(k * x) for x in v)
-    return k, point
 
 
 def ehrhart_counts(PP: ParamPolytope, K: int) -> tuple[int, ...]:

@@ -8,10 +8,14 @@ is homogeneous of degree |lam|, g acts as G does times D^-|lam|. By
 Cauchy-Binet the minor of Z G on the first l rows and a column set c is
 sum_S det Z[rows, S] det G[S, c] over the l-subsets S, so e_T(Z G) is a
 product of integer factor polynomials, one per distinct column set, and the
-basis is the case G = I. An exact integer solve against the basis then gives
-the action matrix. On top of the models sit the fixed-subspace solvers:
-invariants of the permanent stabilizer and the concrete irreducibility
-criterion used for the permanent's stability check.
+basis is the case G = I. In lexicographic monomial order each e_T has the
+leading monomial prod z_{i,T(i,j)} with coefficient 1, and distinct T give
+distinct leading monomials (standard monomial theory), so the basis is
+unitriangular: subtracting e_T along the leading monomials, largest first,
+gives integer coordinates and hence the action matrix. On top of the models
+sit the fixed-subspace solvers: invariants of the permanent stabilizer and
+the concrete irreducibility criterion used for the permanent's stability
+check.
 
 The symmetry characterizations of the determinant and the permanent, and
 the invariant-ring check in ``obstructions``, need no module: they are fixed
@@ -242,50 +246,45 @@ def deruyts_generator(T: Tableau, n: int) -> MultiPoly:
 @dataclass(frozen=True)
 class WeylModuleModel:
     """Basis {e_T : T semistandard} of the GL_n irreducible labelled by lam,
-    together with the monomial coordinatization used for exact solves."""
+    with leads: each basis index and the leading monomial of its e_T, by
+    decreasing monomial."""
 
     lam: Partition
     n: int
     tableaux: tuple[Tableau, ...]
     basis: tuple[MultiPoly, ...]
-    monomials: tuple[tuple[int, ...], ...]
+    leads: tuple[tuple[int, tuple[int, ...]], ...]
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
 
-    def basis_matrix_rows(self) -> list[list]:
-        index = {m: i for i, m in enumerate(self.monomials)}
-        rows = [[0] * self.dimension for _ in self.monomials]
-        for col, poly in enumerate(self.basis):
-            for e, c in poly.terms.items():
-                rows[index[e]][col] = c
-        return rows
-
-    def coordinates_of(self, polys: list[MultiPoly]) -> list[list[Fraction]]:
-        """Exact coordinates of each poly in the e_T basis; raises when a
-        poly falls outside the span (that is a bug, never a value)."""
-        index = {m: i for i, m in enumerate(self.monomials)}
-        nrows = len(self.monomials)
-        B = self.basis_matrix_rows()
-        F = [[0] * len(polys) for _ in range(nrows)]
+    def coordinates_of(self, polys: list[MultiPoly]) -> list[list]:
+        """Exact coordinates of each poly in the e_T basis, in the polys' own
+        arithmetic (integer polys give integers): walking the leads in order,
+        the coefficient left on a lead is the coordinate of its e_T, which is
+        then subtracted. Raises when a poly falls outside the span (that is a
+        bug, never a value)."""
+        X = [[0] * len(polys) for _ in self.basis]
         for j, poly in enumerate(polys):
-            for e, c in poly.terms.items():
-                if e not in index:
-                    raise RuntimeError(
-                        "polynomial leaves the Weyl-module span: basis bug")
-                F[index[e]][j] = c
-        try:
-            X = linalg.solve_columns(B, F)
-        except ValueError as exc:
-            raise RuntimeError(f"exact solve failed: {exc}") from exc
+            work = dict(poly.terms)
+            for i, lead in self.leads:
+                c = work.get(lead)
+                if c:
+                    X[i][j] = c
+                    for e, v in self.basis[i].terms.items():
+                        work[e] = work.get(e, 0) - c * v
+            if any(work.values()):
+                raise RuntimeError(
+                    "polynomial leaves the Weyl-module span: basis bug")
         return X
 
 
 def weyl_module(lam: Partition, n: int,
                 dim_cap: int | None = None) -> WeylModuleModel:
-    """Construct the explicit model; linear independence of the basis is
-    verified by an exact rank computation, not assumed."""
+    """Construct the explicit model. Linear independence of the basis is
+    computed, not assumed: every e_T must have a leading monomial with
+    coefficient 1, no two the same. The SSYT count must equal dim_weyl."""
     lam = Partition(lam)
     if dim_cap is None:
         dim_cap = DEFAULT.weyl_dim_cap
@@ -293,17 +292,17 @@ def weyl_module(lam: Partition, n: int,
     if dim > dim_cap:
         raise BudgetError(f"dim {dim} exceeds cap {dim_cap}")
     tableaux = tuple(enumerate_ssyt(lam, n))
-    basis = tuple(_column_minor_products(n, tableaux))
-    monomials = tuple(sorted({e for p in basis for e in p.terms}))
-    model = WeylModuleModel(lam, n, tableaux, basis, monomials)
     if dim != len(tableaux):
         raise RuntimeError("tableau enumeration disagrees with dimension")
-    if dim:
-        r = linalg.rank(model.basis_matrix_rows(), dim)
-        if r != dim:
-            raise RuntimeError(
-                f"basis polynomials are dependent: rank {r} != dim {dim}")
-    return model
+    basis = tuple(_column_minor_products(n, tableaux))
+    leads = tuple(sorted(((i, max(p.terms, default=()))
+                          for i, p in enumerate(basis)),
+                         key=lambda lead: lead[1], reverse=True))
+    if any(basis[i].terms.get(e) != 1 for i, e in leads) or \
+            len({e for _, e in leads}) != dim:
+        raise RuntimeError("basis is not unitriangular: leading monomials"
+                           " repeat or have a coefficient other than 1")
+    return WeylModuleModel(lam, n, tableaux, basis, leads)
 
 
 def group_action_matrix(M: WeylModuleModel, g) -> tuple[tuple[Fraction, ...], ...]:
@@ -312,7 +311,7 @@ def group_action_matrix(M: WeylModuleModel, g) -> tuple[tuple[Fraction, ...], ..
     matrix(gh) = matrix(g) matrix(h).
 
     g is scaled to the integer matrix G = D g. Every e_T is homogeneous of
-    degree |lam|, so e_T(Z g) = D^-|lam| e_T(Z G): the solve runs on
+    degree |lam|, so e_T(Z g) = D^-|lam| e_T(Z G): the reduction runs on
     integers and only its result is scaled back.
     """
     n = M.n
@@ -324,10 +323,8 @@ def group_action_matrix(M: WeylModuleModel, g) -> tuple[tuple[Fraction, ...], ..
     D = lcm(*(x.denominator for row in g for x in row))
     G = [[x.numerator * (D // x.denominator) for x in row] for row in g]
     X = M.coordinates_of(_column_minor_products(n, M.tableaux, G))
-    if D == 1:
-        return tuple(map(tuple, X))
-    scale = Fraction(1, D ** M.lam.size)
-    return tuple(tuple(x * scale if x else x for x in row) for row in X)
+    scale = D ** M.lam.size
+    return tuple(tuple(Fraction(x, scale) for x in row) for row in X)
 
 
 def permutation_matrix(n: int, perm: list[int]) -> list[list[Fraction]]:
@@ -573,13 +570,6 @@ def symmetry_characterization_space(kind: str, size: int) -> tuple[int, list[Mul
         ops.extend(_grid_relabels(m))
     basis = _monomial_kernel(_torus_monomials(m, 1), ops)
     return len(basis), [MultiPoly(nv, vec) for vec in basis]
-
-
-def symmetry_characterization_dim(kind: str, size: int) -> int:
-    """Dimension of the space of forms with det's (resp. perm's) symmetry;
-    the characterization theorems say this is 1."""
-    dim, _ = symmetry_characterization_space(kind, size)
-    return dim
 
 
 # ---------------------------------------------------------------------------

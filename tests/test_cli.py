@@ -49,6 +49,15 @@ class TestLR:
         assert out["payload"]["agree"] is True
         assert out["payload"]["fit"]["period"] == 1
 
+    def test_stretch_config_fit_bound(self, capsys, tmp_path):
+        # the series 4, 10, 20, 35, 56, 84 has degree 3 and no degree-1 fit
+        path = tmp_path / "budgets.json"
+        path.write_text(json.dumps({"max_degree": 1}))
+        code, out = invoke(capsys, "--config", str(path), "lr", "stretch",
+                           "3,2,1", "3,2,1", "5,4,2,1", "--k", "6")
+        assert code == 1
+        assert out["payload"]["error"]["type"] == "FitError"
+
 
 class TestSymfunc:
     def test_product(self, capsys):
@@ -95,6 +104,16 @@ class TestKron:
         code, out = invoke(capsys, "kron", "g-stretch", "2", "--m", "2",
                            "--k", "4")
         assert code == 0 and out["payload"]["values"] == [1, 1, 1, 1]
+
+    def test_g_stretch_config_fit_bound(self, capsys, tmp_path):
+        # 0, 0, 1, 0, 0, 1, 0 has period 3: no fit within period 2
+        path = tmp_path / "budgets.json"
+        path.write_text(json.dumps({"max_period": 2}))
+        code, out = invoke(capsys, "--config", str(path), "kron",
+                           "g-stretch", "2", "--m", "3", "--k", "7")
+        assert code == 0
+        assert out["payload"] == {"values": [0, 0, 1, 0, 0, 1, 0],
+                                  "fit": None}
 
     def test_domain_error_exit_1(self, capsys):
         code, out = invoke(capsys, "kron", "2,1", "2", "2")

@@ -8,6 +8,7 @@ from dataclasses import replace
 import pytest
 from test_weylmod import permute_variables
 
+from weylbox import obstructions
 from weylbox.config import BudgetError
 from weylbox.obstructions import (MagicSquare, ObstructionCertificate,
                                   ObstructionChecks, ObstructionError,
@@ -131,6 +132,20 @@ class TestInvariantRingDimension:
 
     def test_representative_count_weight_one(self):
         assert len(magic_orbit_representatives(3, 1)) == 1
+
+    def test_repeated_representative_raises(self, monkeypatch):
+        # one orbit twice gives two p_A with the same support; the
+        # disjoint-support check must catch it before the count comparison
+        real = obstructions.magic_orbit_representatives
+
+        def doubled(n, r, **caps):
+            reps = real(n, r, **caps)
+            return reps + reps[:1]
+
+        monkeypatch.setattr(obstructions, "magic_orbit_representatives",
+                            doubled)
+        with pytest.raises(RuntimeError, match="share a monomial"):
+            invariant_ring_dimension_check(3, 2)
 
 
 class TestTraceInvariance:

@@ -1,10 +1,11 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylbox import linalg
+from weylbox import linalg, weylmod
 from weylbox.config import BudgetError
 from weylbox.partitions import (Partition, Tableau, dim_weyl, is_even,
                                 partitions_of, weak_compositions)
@@ -15,7 +16,6 @@ from weylbox.weylmod import (MultiPoly, _monomial_kernel, _relabel, _shift,
                              kempf_irreducibility_check,
                              matrix_variable_names, perm_polynomial,
                              perm_stabilizer_invariants, permutation_matrix,
-                             symmetry_characterization_dim,
                              symmetry_characterization_space, weyl_module)
 
 P = Partition
@@ -44,9 +44,20 @@ def compose_linear(p, images):
     return result
 
 
+def basis_matrix_rows(polys, monomials):
+    """Dense matrix with one row per monomial and one column per poly."""
+    index = {m: i for i, m in enumerate(monomials)}
+    rows = [[0] * len(polys) for _ in monomials]
+    for col, poly in enumerate(polys):
+        for e, c in poly.terms.items():
+            rows[index[e]][col] = c
+    return rows
+
+
 def literal_action_matrix(M, g):
     """Coordinates of every e_T(Z g), with Z g substituted literally:
-    z_ij -> sum_k z_ik g[k][j]."""
+    z_ij -> sum_k z_ik g[k][j], and solved exactly against the dense basis
+    matrix (solve_columns raises when a poly leaves the span)."""
     n, nv = M.n, M.n * M.n
     images = []
     for i in range(n):
@@ -54,8 +65,17 @@ def literal_action_matrix(M, g):
             images.append(MultiPoly(nv, {
                 tuple(int(t == i * n + k) for t in range(nv)): F(g[k][j])
                 for k in range(n)}))
-    X = M.coordinates_of([compose_linear(p, images) for p in M.basis])
+    polys = [compose_linear(p, images) for p in M.basis]
+    monomials = sorted({e for p in M.basis + tuple(polys) for e in p.terms})
+    X = linalg.solve_columns(basis_matrix_rows(M.basis, monomials),
+                             basis_matrix_rows(polys, monomials))
     return tuple(tuple(row) for row in X)
+
+
+def mat_mul(A, B):
+    n, k, m = len(A), len(B), len(B[0])
+    return [[sum((F(A[i][t]) * F(B[t][j]) for t in range(k)), F(0))
+             for j in range(m)] for i in range(n)]
 
 
 def rand_invertible(n, rng):
@@ -136,8 +156,8 @@ class TestAction:
             g, h = rand_invertible(n, rng), rand_invertible(n, rng)
             Ag = group_action_matrix(M, g)
             Ah = group_action_matrix(M, h)
-            Agh = group_action_matrix(M, linalg.mat_mul(g, h))
-            prod = linalg.mat_mul(Ag, Ah)
+            Agh = group_action_matrix(M, mat_mul(g, h))
+            prod = mat_mul(Ag, Ah)
             assert [list(r) for r in Agh] == prod
 
     def test_weight_grading(self):
@@ -193,15 +213,113 @@ class TestActionAgainstSubstitution:
     def test_homomorphism(self, drawn):
         (lam, n), g, h = drawn
         M = weyl_module(lam, n)
-        Agh = group_action_matrix(M, linalg.mat_mul(g, h))
-        prod = linalg.mat_mul(group_action_matrix(M, g),
-                              group_action_matrix(M, h))
+        Agh = group_action_matrix(M, mat_mul(g, h))
+        prod = mat_mul(group_action_matrix(M, g), group_action_matrix(M, h))
         assert [list(r) for r in Agh] == prod
 
     def test_literal_reference(self):
         M = weyl_module(P((1, 1)), 2)
         g = [[F(1), F(2)], [F(3), F(4)]]
         assert literal_action_matrix(M, g) == ((F(-2),),)
+
+
+def expected_lead(T, n):
+    """prod z_{i,T(i,j)}: the product of the diagonal terms of the column
+    minors of e_T."""
+    expo = [0] * (n * n)
+    for i, row in enumerate(T.rows):
+        for entry in row:
+            expo[i * n + entry - 1] += 1
+    return tuple(expo)
+
+
+def digest_cases():
+    """(lam, n, g): every lam with |lam| <= 5 and at most n <= 4 rows, acted
+    on by the n-cycle permutation matrix and by one seeded rational
+    matrix."""
+    rng = random.Random(2024)
+    cases = []
+    for n in (1, 2, 3, 4):
+        cycle = permutation_matrix(n, [(i + 1) % n for i in range(n)])
+        for size in range(6):
+            for lam in partitions_of(size, max_length=n):
+                cases.append((lam, n, cycle))
+                cases.append((lam, n, rand_invertible(n, rng)))
+    return cases
+
+
+# sha256 of repr([group_action_matrix(weyl_module(lam, n), g) ...]) over
+# digest_cases(), recorded from the exact dense solve against the basis
+# matrix that the leading-monomial reduction replaced; repr pins both the
+# values and their Fraction type
+ACTION_DIGEST = \
+    "ec3d87e5723d2f0bf51d249d82d2cbfbd4bcbc76584265fb78b47b8077f48f43"
+
+
+class TestUnitriangularBasis:
+    def test_leading_monomials(self):
+        for n in (1, 2, 3, 4):
+            for size in range(7):
+                for lam in partitions_of(size, max_length=n):
+                    M = weyl_module(lam, n)
+                    for T, poly in zip(M.tableaux, M.basis):
+                        lead = expected_lead(T, n)
+                        assert max(poly.terms) == lead, (lam, n, T)
+                        assert poly.terms[lead] == 1, (lam, n, T)
+
+    def test_action_matrices_pinned(self):
+        cases = digest_cases()
+        assert len(cases) == 104
+        mats = [group_action_matrix(weyl_module(lam, n), g)
+                for lam, n, g in cases]
+        assert hashlib.sha256(repr(mats).encode()).hexdigest() == \
+            ACTION_DIGEST
+
+    def test_coordinates_keep_the_input_arithmetic(self):
+        M = weyl_module(P((2, 1)), 3)
+        X = M.coordinates_of(list(M.basis))
+        assert X == [[int(i == j) for j in range(M.dimension)]
+                     for i in range(M.dimension)]
+        assert all(type(x) is int for row in X for x in row)
+        poly = M.basis[0] + M.basis[5].scale(F(-2, 3))
+        Y = M.coordinates_of([poly])
+        assert [row[0] for row in Y] == [1, 0, 0, 0, 0, F(-2, 3), 0, 0]
+
+    def test_off_support_monomial_raises(self):
+        M = weyl_module(P((1, 1)), 2)
+        z11_squared = MultiPoly(4, {(2, 0, 0, 0): 1})
+        with pytest.raises(RuntimeError, match="span"):
+            M.coordinates_of([z11_squared])
+
+    def test_non_lead_monomial_raises(self):
+        M = weyl_module(P((1, 1)), 2)
+        z12_z21 = MultiPoly(4, {(0, 1, 1, 0): 1})
+        # in the support of e_T = z11*z22 - z12*z21, but not its lead
+        assert set(z12_z21.terms) < set(M.basis[0].terms)
+        with pytest.raises(RuntimeError, match="span"):
+            M.coordinates_of([z12_z21])
+
+    def test_repeated_basis_element_raises(self, monkeypatch):
+        real = weylmod._column_minor_products
+
+        def repeated(n, tableaux, G=None):
+            out = real(n, tableaux, G)
+            return out[:1] + out[:-1]
+
+        monkeypatch.setattr(weylmod, "_column_minor_products", repeated)
+        with pytest.raises(RuntimeError, match="unitriangular"):
+            weyl_module(P((2,)), 2)
+
+    def test_lead_coefficient_other_than_one_raises(self, monkeypatch):
+        real = weylmod._column_minor_products
+
+        def doubled(n, tableaux, G=None):
+            out = real(n, tableaux, G)
+            return [out[0].scale(2)] + out[1:]
+
+        monkeypatch.setattr(weylmod, "_column_minor_products", doubled)
+        with pytest.raises(RuntimeError, match="unitriangular"):
+            weyl_module(P((2,)), 2)
 
 
 class TestHighestWeight:
@@ -270,7 +388,7 @@ class TestPermStabilizerInvariants:
 class TestSymmetryCharacterization:
     @pytest.mark.parametrize("kind,size", [("det", 2), ("perm", 2), ("perm", 3)])
     def test_dimension_one(self, kind, size):
-        assert symmetry_characterization_dim(kind, size) == 1
+        assert symmetry_characterization_space(kind, size)[0] == 1
 
     def test_perm_line_is_perm(self):
         dim, basis = symmetry_characterization_space("perm", 3)
@@ -292,11 +410,11 @@ class TestSymmetryCharacterization:
 
     def test_unsupported_size(self):
         with pytest.raises(ValueError, match="size"):
-            symmetry_characterization_dim("det", 4)
+            symmetry_characterization_space("det", 4)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
-            symmetry_characterization_dim("imm", 2)
+            symmetry_characterization_space("imm", 2)
 
 
 # ---------------------------------------------------------------------------
