@@ -200,9 +200,11 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets) -> dict:
             if args.fit:
                 fit = fit_quasipolynomial(
                     values,
-                    args.max_period or budgets.max_period,
-                    args.max_degree if args.max_degree is not None else budgets.max_degree,
-                    args.holdout or budgets.holdout,
+                    (budgets.max_period if args.max_period is None
+                     else args.max_period),
+                    (budgets.max_degree if args.max_degree is None
+                     else args.max_degree),
+                    budgets.holdout if args.holdout is None else args.holdout,
                     skip_prefix=args.skip_prefix)
                 payload["fit"] = fit.to_json()
         return payload

@@ -116,11 +116,6 @@ def solve_columns(A_rows, B_rows) -> list[list[Fraction]]:
     return X
 
 
-def identity(n: int) -> list[list[Fraction]]:
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
-            for i in range(n)]
-
-
 def det(A) -> Fraction:
     """Determinant by fraction-free elimination."""
     n = len(A)
@@ -146,12 +141,3 @@ def det(A) -> Fraction:
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
     return sign * result
 
-
-def mat_inv(A) -> list[list[Fraction]] | None:
-    """Exact inverse, or None when A is singular."""
-    n = len(A)
-    try:
-        cols = solve_columns([list(r) for r in A], identity(n))
-    except ValueError:
-        return None
-    return cols

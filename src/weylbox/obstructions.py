@@ -13,17 +13,12 @@ from __future__ import annotations
 
 import itertools
 import json
-import random
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
-from . import linalg
 from .config import DEFAULT, BudgetError
 from .partitions import Partition, is_even, weak_compositions
 from .weylmod import (MultiPoly, _grid_relabels, _monomial_kernel,
                       _torus_monomials, perm_stabilizer_invariants)
-
-_TRACE_SEED = 91
 
 
 class ObstructionError(ValueError):
@@ -154,57 +149,12 @@ def invariant_ring_dimension_check(n: int, r: int, **caps) -> bool:
             raise RuntimeError("basic invariants p_A share a monomial")
         seen.update(support)
 
-    fixed_dim = len(_monomial_kernel(_torus_monomials(n, r), _grid_relabels(n)))
+    fixed_dim = len(_monomial_kernel([{e: 1} for e in _torus_monomials(n, r)],
+                                     _grid_relabels(n)))
     if fixed_dim != len(reps):
         raise RuntimeError(
             f"invariant dimension mismatch: {len(reps)} orbit representatives"
             f" vs fixed-space dimension {fixed_dim}")
-    return True
-
-
-def trace_like_invariance_check(n: int, j: int, trials: int = 5,
-                                seed: int = _TRACE_SEED) -> bool:
-    """Exact check that trace((A X A^{-1})^j) = trace(X^j) for random
-    invertible rational A; singular samples are redrawn, never an error."""
-    if n < 1 or j < 0 or trials < 1:
-        raise ValueError("need n >= 1, j >= 0, trials >= 1")
-    rng = random.Random(seed)
-    nv = n * n
-    X = [[MultiPoly.variable(nv, i * n + k) for k in range(n)] for i in range(n)]
-
-    def sym_mat_mul(P, Q):
-        return [[sum((P[i][t] * Q[t][k] for t in range(n)),
-                     MultiPoly.zero(nv)) for k in range(n)] for i in range(n)]
-
-    def num_times_sym(A, M):
-        return [[sum((M[t][k].scale(A[i][t]) for t in range(n)),
-                     MultiPoly.zero(nv)) for k in range(n)] for i in range(n)]
-
-    def sym_times_num(M, B):
-        return [[sum((M[i][t].scale(B[t][k]) for t in range(n)),
-                     MultiPoly.zero(nv)) for k in range(n)] for i in range(n)]
-
-    def trace(M):
-        return sum((M[i][i] for i in range(n)), MultiPoly.zero(nv))
-
-    def mat_power(M, k):
-        R = [[MultiPoly.constant(nv, 1) if i == t else MultiPoly.zero(nv)
-              for t in range(n)] for i in range(n)]
-        for _ in range(k):
-            R = sym_mat_mul(R, M)
-        return R
-
-    target = trace(mat_power(X, j))
-    for _ in range(trials):
-        while True:
-            A = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-                  for _ in range(n)] for _ in range(n)]
-            if linalg.det(A) != 0:
-                break
-        Ainv = linalg.mat_inv(A)
-        conj = sym_times_num(num_times_sym(A, X), Ainv)
-        if trace(mat_power(conj, j)) != target:
-            return False
     return True
 
 

@@ -160,17 +160,6 @@ class Tableau:
                 counts[e - 1] += 1
         return tuple(counts)
 
-    def is_semistandard(self) -> bool:
-        for row in self.rows:
-            if any(row[c] > row[c + 1] for c in range(len(row) - 1)):
-                return False
-        for r in range(1, len(self.rows)):
-            upper = self.rows[r - 1]
-            for c, e in enumerate(self.rows[r]):
-                if e <= upper[c]:
-                    return False
-        return True
-
     def columns(self) -> list[tuple[int, ...]]:
         width = len(self.rows[0]) if self.rows else 0
         return [tuple(row[c] for row in self.rows if len(row) > c)

@@ -1,5 +1,5 @@
-"""Exact-rational polyhedra: feasibility, vertices, integer-point counts,
-and quasi-polynomial fitting of parametrized counting sequences.
+"""Exact-rational polyhedra: feasibility, integer-point counts, and
+quasi-polynomial fitting of parametrized counting sequences.
 
 There is no floating point in this module. ``fractions.Fraction`` is the
 boundary type: inputs, ``Polytope``, ``ParamPolytope`` and
@@ -70,11 +70,6 @@ class Polytope:
 
     def dilate(self, k: int) -> "Polytope":
         return Polytope(self.A, tuple(k * v for v in self.b))
-
-    def contains(self, point: Sequence) -> bool:
-        pt = [_frac(x) for x in point]
-        return all(sum(a * x for a, x in zip(row, pt)) <= rhs
-                   for row, rhs in zip(self.A, self.b))
 
     def to_json(self) -> dict:
         return {"A": [[format_rational(x) for x in row] for row in self.A],

@@ -12,23 +12,26 @@ basis is the case G = I. In lexicographic monomial order each e_T has the
 leading monomial prod z_{i,T(i,j)} with coefficient 1, and distinct T give
 distinct leading monomials (standard monomial theory), so the basis is
 unitriangular: subtracting e_T along the leading monomials, largest first,
-gives integer coordinates and hence the action matrix. On top of the models
-sit the fixed-subspace solvers: invariants of the permanent stabilizer and
-the concrete irreducibility criterion used for the permanent's stability
-check.
+gives integer coordinates and hence the action matrix.
 
-The symmetry characterizations of the determinant and the permanent, and
-the invariant-ring check in ``obstructions``, need no module: they are fixed
-spaces of operators on monomials. An operator maps a monomial to its image
-{monomial: coeff}, either a derivation sum x_t d/dx_s (``_shift``) or a
-relabelling f -> f(x_image) - f (``_relabel``), and ``_monomial_kernel``
-solves all operators on the torus-fixed monomials by one exact nullspace.
+Every fixed space is solved by one exact kernel, ``_monomial_kernel``: the
+combinations of given polynomials that a list of operators kills. An
+operator maps a monomial to its image {monomial: coeff} and extends
+linearly; it is either a derivation sum x_t d/dx_s (``_shift``) or a
+relabelling f -> f(x_image) - f (``_relabel``). The highest weight line of
+a module is the kernel of the raising derivations E_{i,i+1} on its basis,
+and the permanent stabilizer's invariants in a weight space are the kernel
+of the column relabellings by S_n generators. The symmetry characterizations
+of the determinant and the permanent, and the invariant-ring check in
+``obstructions``, need no module: they take the kernel on the torus-fixed
+monomials. None of these builds an action matrix; ``group_action_matrix``
+is the public action of a general g. Last comes the concrete
+irreducibility criterion behind the permanent's stability.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -38,9 +41,6 @@ from . import linalg
 from .config import DEFAULT, BudgetError
 from .partitions import (Partition, Tableau, canonical_tableau, dim_weyl,
                          enumerate_ssyt)
-
-_HWV_SEED = 178
-_TRIALS_PER_CHECK = 5
 
 
 class MultiPoly:
@@ -58,18 +58,8 @@ class MultiPoly:
                     self.terms[tuple(expo)] = coeff
 
     @classmethod
-    def zero(cls, nvars: int) -> "MultiPoly":
-        return cls(nvars)
-
-    @classmethod
     def constant(cls, nvars: int, c) -> "MultiPoly":
         return cls(nvars, {(0,) * nvars: c} if c else {})
-
-    @classmethod
-    def variable(cls, nvars: int, idx: int) -> "MultiPoly":
-        expo = [0] * nvars
-        expo[idx] = 1
-        return cls(nvars, {tuple(expo): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -78,19 +68,6 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return self.nvars == other.nvars and self.terms == other.terms
-
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e, 0) + c
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-        return MultiPoly(self.nvars, out)
-
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + other.scale(-1)
 
     def scale(self, c) -> "MultiPoly":
         if not c:
@@ -327,14 +304,6 @@ def group_action_matrix(M: WeylModuleModel, g) -> tuple[tuple[Fraction, ...], ..
     return tuple(tuple(Fraction(x, scale) for x in row) for row in X)
 
 
-def permutation_matrix(n: int, perm: list[int]) -> list[list[Fraction]]:
-    """0/1 matrix sending basis vector j to perm[j]."""
-    mat = [[Fraction(0)] * n for _ in range(n)]
-    for j, i in enumerate(perm):
-        mat[i][j] = Fraction(1)
-    return mat
-
-
 def perm_generators(n: int) -> list[list[int]]:
     """Generators of S_n as image lists: the swap (0 1) and, for n > 2, the
     cycle i -> i + 1 mod n."""
@@ -348,70 +317,47 @@ def perm_generators(n: int) -> list[list[int]]:
     return gens
 
 
-def symmetric_group_generators(n: int) -> list[list[list[Fraction]]]:
-    """Permutation matrices generating S_n (plain 0/1 lift into GL_n)."""
-    return [permutation_matrix(n, perm) for perm in perm_generators(n)]
-
-
 def highest_weight_vector(M: WeylModuleModel) -> int:
     """Index of e_{T0}, T0 the canonical tableau with i-th row all i's.
 
-    Verified, not assumed: e_{T0} must be an eigenvector of the action of
-    five pseudo-random upper-triangular rational matrices, and the only
-    basis element with that property.
+    Computed, not assumed: the raising operators E_{i,i+1} act on f(Z) as
+    the derivations sum_r z_{r,i} d/dz_{r,i+1}, and their joint kernel on
+    the basis must be exactly the line of e_{T0}. That proves e_{T0} a
+    highest weight vector and its line the only one.
     """
     if M.dimension == 0:
         raise ValueError("zero module has no highest weight vector")
-    T0 = canonical_tableau(M.lam)
-    idx = M.tableaux.index(T0)
-    rng = random.Random(_HWV_SEED)
-    candidates = set(range(M.dimension))
-    for _ in range(_TRIALS_PER_CHECK):
-        b = [[Fraction(0)] * M.n for _ in range(M.n)]
-        for i in range(M.n):
-            b[i][i] = Fraction(rng.randint(1, 9))
-            for j in range(i + 1, M.n):
-                b[i][j] = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
-        A = group_action_matrix(M, b)
-        candidates = {s for s in candidates
-                      if all(A[r][s] == 0 for r in range(M.dimension) if r != s)
-                      and A[s][s] != 0}
-    if candidates != {idx}:
+    n = M.n
+    idx = M.tableaux.index(canonical_tableau(M.lam))
+    raising = [_shift([(_var(n, r, i + 1), _var(n, r, i)) for r in range(n)])
+               for i in range(n - 1)]
+    kernel = _monomial_kernel([p.terms for p in M.basis], raising)
+    supports = [[s for s, c in enumerate(vec) if c] for vec in kernel]
+    if supports != [[idx]]:
         raise RuntimeError(
-            f"highest weight verification failed: eigen lines {sorted(candidates)}"
+            f"highest weight verification failed: kernel supports {supports}"
             f" vs canonical index {idx}")
     return idx
 
 
-def fixed_subspace_dim(M: WeylModuleModel, generators, weight="any") -> int:
-    """Dimension of {v in the weight subspace : action(g) v = v for all g}.
+def fixed_subspace_dim(M: WeylModuleModel, perms, weight="any") -> int:
+    """Dimension of the vectors of a weight space fixed by permutations.
 
-    The weight subspace is the span of the e_T with content(T) equal to the
-    given vector over 1..n ("any" takes the whole module). The conditions
-    are imposed over the full module, so non-invariant weight subspaces are
-    handled correctly.
+    Each perm is an image list (the ``perm_generators`` format) and acts
+    through its 0/1 matrix P as f(Z) -> f(Z P), which relabels the columns
+    of Z. The weight space is the span of the e_T with content(T) equal to
+    the given vector over 1..n ("any" takes the whole module). The answer is
+    the joint kernel of f -> f(Z P) - f on that span, taken on the
+    polynomials themselves, so a weight space the permutations do not
+    preserve is handled correctly.
     """
-    dim = M.dimension
-    if dim == 0:
-        return 0
-    if weight == "any":
-        cols = list(range(dim))
-    else:
-        weight = tuple(weight)
-        cols = [t for t, T in enumerate(M.tableaux)
-                if T.content(M.n) == weight]
-    if not cols:
-        return 0
-    rows = []
-    for g in generators:
-        A = group_action_matrix(M, g)
-        for r in range(dim):
-            row = [A[r][t] - (1 if r == t else 0) for t in cols]
-            if any(row):
-                rows.append(row)
-    if not rows:
-        return len(cols)
-    return len(cols) - linalg.rank(rows, len(cols))
+    if any(sorted(p) != list(range(M.n)) for p in perms):
+        raise ValueError(
+            f"each permutation must be an image list of 0..{M.n - 1}")
+    polys = [p.terms for p, T in zip(M.basis, M.tableaux)
+             if weight == "any" or T.content(M.n) == tuple(weight)]
+    return len(_monomial_kernel(polys,
+                                [_column_relabel(M.n, p) for p in perms]))
 
 
 def perm_stabilizer_invariants(gamma: Partition, n: int,
@@ -420,10 +366,11 @@ def perm_stabilizer_invariants(gamma: Partition, n: int,
     representation (trivial) (x) V_gamma, computed inside V_gamma(GL_n).
 
     The stabilizer's torus forces the constant content (2, ..., 2), since
-    |gamma| = 2n; the discrete part acts through plain 0/1 permutation
-    matrices (this lift convention is validated by the even-partition
-    acceptance gate). The transpose flip of the full stabilizer does not
-    preserve the factor (trivial) (x) V_gamma and is deliberately omitted.
+    |gamma| = 2n; the discrete part acts through the S_n generators as plain
+    0/1 permutation matrices, that is by relabelling the columns of Z (this
+    lift convention is validated by the even-partition acceptance gate). The
+    transpose flip of the full stabilizer does not preserve the factor
+    (trivial) (x) V_gamma and is deliberately omitted.
     """
     gamma = Partition(gamma)
     if gamma.size != 2 * n:
@@ -431,12 +378,11 @@ def perm_stabilizer_invariants(gamma: Partition, n: int,
     if len(gamma) > n:
         raise ValueError(f"length {len(gamma)} exceeds n = {n}")
     M = weyl_module(gamma, n, dim_cap=dim_cap)
-    gens = symmetric_group_generators(n)
-    return fixed_subspace_dim(M, gens, weight=(2,) * n)
+    return fixed_subspace_dim(M, perm_generators(n), weight=(2,) * n)
 
 
 # ---------------------------------------------------------------------------
-# fixed spaces of operators on monomials
+# fixed spaces of operators on polynomials
 # ---------------------------------------------------------------------------
 
 def _torus_monomials(n: int, r: int) -> list[tuple[int, ...]]:
@@ -499,28 +445,35 @@ def _relabel(image):
     return op
 
 
+def _column_relabel(m: int, perm):
+    """f(Z) -> f(Z P) - f(Z) on an m x m matrix of variables, P the 0/1
+    matrix sending e_j to e_perm[j]: z_ij becomes z_{i,perm[j]}."""
+    return _relabel([_var(m, t // m, perm[t % m]) for t in range(m * m)])
+
+
 def _grid_relabels(m: int) -> list:
     """Row and column permutations of an m x m matrix of variables, one of
     each per S_m generator."""
-    nv = m * m
-    return [_relabel(sub) for gen in perm_generators(m)
-            for sub in ([_var(m, gen[t // m], t % m) for t in range(nv)],
-                        [_var(m, t // m, gen[t % m]) for t in range(nv)])]
+    return [op for gen in perm_generators(m)
+            for op in (_relabel([_var(m, gen[t // m], t % m)
+                                 for t in range(m * m)]),
+                       _column_relabel(m, gen))]
 
 
-def _monomial_kernel(monos: list[tuple[int, ...]], ops) -> list[dict]:
-    """Basis of the polynomials in the span of monos that every operator
-    kills, as dicts {monomial: Fraction}. The images of all operators are
-    stacked into one system, solved by one exact nullspace."""
+def _monomial_kernel(polys: list[dict], ops) -> list[tuple[Fraction, ...]]:
+    """Basis of the combinations of polys (dicts {monomial: coeff}) that
+    every operator kills, as coefficient vectors over polys. Each operator
+    acts on a monomial and extends linearly; the images of all operators
+    are stacked into one system, solved by one exact nullspace."""
     rows = []
     for op in ops:
         index: dict[tuple[int, ...], list] = {}
-        for j, e in enumerate(monos):
-            for key, c in op(e).items():
-                index.setdefault(key, [0] * len(monos))[j] += c
+        for j, poly in enumerate(polys):
+            for e, c in poly.items():
+                for key, v in op(e).items():
+                    index.setdefault(key, [0] * len(polys))[j] += c * v
         rows.extend(index.values())
-    return [{e: c for e, c in zip(monos, vec) if c}
-            for vec in linalg.nullspace(rows, len(monos))]
+    return linalg.nullspace(rows, len(polys))
 
 
 # ---------------------------------------------------------------------------
@@ -568,8 +521,9 @@ def symmetry_characterization_space(kind: str, size: int) -> tuple[int, list[Mul
             ops.append(_shift([(_var(m, i, b), _var(m, i, a)) for i in range(m)]))
     else:
         ops.extend(_grid_relabels(m))
-    basis = _monomial_kernel(_torus_monomials(m, 1), ops)
-    return len(basis), [MultiPoly(nv, vec) for vec in basis]
+    monos = _torus_monomials(m, 1)
+    basis = _monomial_kernel([{e: 1} for e in monos], ops)
+    return len(basis), [MultiPoly(nv, dict(zip(monos, vec))) for vec in basis]
 
 
 # ---------------------------------------------------------------------------

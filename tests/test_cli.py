@@ -49,6 +49,13 @@ class TestLR:
         assert out["payload"]["agree"] is True
         assert out["payload"]["fit"]["period"] == 1
 
+    @pytest.mark.parametrize("flag", ["--max-period", "--holdout"])
+    def test_stretch_explicit_zero_fit_bound_refused(self, capsys, flag):
+        code, out = invoke(capsys, "lr", "stretch", "2,1", "2,1", "3,2,1",
+                           "--k", "5", flag, "0")
+        assert code == 1
+        assert out["payload"]["error"]["type"] == "ValueError"
+
     def test_stretch_config_fit_bound(self, capsys, tmp_path):
         # the series 4, 10, 20, 35, 56, 84 has degree 3 and no degree-1 fit
         path = tmp_path / "budgets.json"
@@ -89,6 +96,16 @@ class TestEhrhart:
         assert code == 0
         assert out["payload"]["values"] == [1, 2, 2, 3, 3, 4]
         assert out["payload"]["fit"]["period"] == 2
+
+    @pytest.mark.parametrize("flag", ["--max-period", "--holdout"])
+    def test_explicit_zero_fit_bound_refused(self, capsys, tmp_path, flag):
+        # an explicit 0 is refused, not replaced by the budget default
+        path = tmp_path / "seg.json"
+        path.write_text(json.dumps({"A": [["1"], ["-1"]], "b": ["1", "0"]}))
+        code, out = invoke(capsys, "ehrhart", "--polytope", str(path),
+                           "--series", "6", "--fit", flag, "0")
+        assert code == 1
+        assert out["payload"]["error"]["type"] == "ValueError"
 
 
 class TestKron:

@@ -4,11 +4,13 @@ import math
 import random
 import time
 from dataclasses import replace
+from fractions import Fraction as F
 
 import pytest
-from test_weylmod import permute_variables
+from test_polytope import inverse
+from test_weylmod import permute_variables, poly_sum, variable
 
-from weylbox import obstructions
+from weylbox import linalg, obstructions
 from weylbox.config import BudgetError
 from weylbox.obstructions import (MagicSquare, ObstructionCertificate,
                                   ObstructionChecks, ObstructionError,
@@ -17,11 +19,47 @@ from weylbox.obstructions import (MagicSquare, ObstructionCertificate,
                                   enumerate_magic_squares,
                                   invariant_ring_dimension_check,
                                   magic_orbit_representatives,
-                                  trace_like_invariance_check,
                                   verify_obstruction)
 from weylbox.partitions import Partition
+from weylbox.weylmod import MultiPoly
 
 P = Partition
+
+
+def trace_like_invariance_check(n, j, trials, seed=91):
+    """Exact check, in MultiPoly arithmetic, that
+    trace((A X A^-1)^j) = trace(X^j) for random invertible rational A, X the
+    n x n matrix of variables; singular samples are redrawn."""
+    rng = random.Random(seed)
+    nv = n * n
+    X = [[variable(nv, i * n + k) for k in range(n)] for i in range(n)]
+
+    def mat_mul(U, V):
+        # entries are MultiPolys or rationals, never rational on both sides
+        def times(p, q):
+            if isinstance(p, MultiPoly) and isinstance(q, MultiPoly):
+                return p * q
+            return p.scale(q) if isinstance(p, MultiPoly) else q.scale(p)
+        return [[poly_sum(*(times(U[i][t], V[t][k]) for t in range(n)))
+                 for k in range(n)] for i in range(n)]
+
+    def trace_of_power(M, k):
+        R = [[MultiPoly.constant(nv, int(i == t)) for t in range(n)]
+             for i in range(n)]
+        for _ in range(k):
+            R = mat_mul(R, M)
+        return poly_sum(*(R[i][i] for i in range(n)))
+
+    target = trace_of_power(X, j)
+    for _ in range(trials):
+        A = None
+        while A is None or linalg.det(A) == 0:
+            A = [[F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+                 for _ in range(n)]
+        A_inv = inverse(A)
+        if trace_of_power(mat_mul(mat_mul(A, X), A_inv), j) != target:
+            return False
+    return True
 
 
 class TestMagicSquares:

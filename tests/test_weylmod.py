@@ -1,5 +1,6 @@
 import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -14,11 +15,36 @@ from weylbox.weylmod import (MultiPoly, _monomial_kernel, _relabel, _shift,
                              det_polynomial, fixed_subspace_dim,
                              group_action_matrix, highest_weight_vector,
                              kempf_irreducibility_check,
-                             matrix_variable_names, perm_polynomial,
-                             perm_stabilizer_invariants, permutation_matrix,
+                             matrix_variable_names, perm_generators,
+                             perm_polynomial, perm_stabilizer_invariants,
                              symmetry_characterization_space, weyl_module)
 
 P = Partition
+
+
+def variable(nvars, idx):
+    return MultiPoly(nvars, {tuple(int(t == idx) for t in range(nvars)): 1})
+
+
+def poly_sum(*polys):
+    """Sum of MultiPolys, over the variable count of the first."""
+    out = {}
+    for p in polys:
+        for e, c in p.terms.items():
+            out[e] = out.get(e, 0) + c
+    return MultiPoly(polys[0].nvars, out)
+
+
+def identity(n):
+    return [[F(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def permutation_matrix(n, perm):
+    """0/1 matrix sending basis vector j to perm[j]."""
+    mat = [[F(0)] * n for _ in range(n)]
+    for j, i in enumerate(perm):
+        mat[i][j] = F(1)
+    return mat
 
 
 def literal_pow(p, k):
@@ -40,7 +66,7 @@ def compose_linear(p, images):
                 if (t, k) not in powers:
                     powers[t, k] = literal_pow(images[t], k)
                 term = term * powers[t, k]
-        result = result + term
+        result = poly_sum(result, term)
     return result
 
 
@@ -125,9 +151,8 @@ class TestWeylModule:
 class TestAction:
     def test_identity(self):
         M = weyl_module(P((2, 1)), 3)
-        eye = linalg.identity(3)
-        A = group_action_matrix(M, eye)
-        assert A == tuple(tuple(r) for r in linalg.identity(M.dimension))
+        A = group_action_matrix(M, identity(3))
+        assert A == tuple(tuple(r) for r in identity(M.dimension))
 
     def test_standard_rep_is_g(self):
         M = weyl_module(P((1,)), 3)
@@ -281,7 +306,7 @@ class TestUnitriangularBasis:
         assert X == [[int(i == j) for j in range(M.dimension)]
                      for i in range(M.dimension)]
         assert all(type(x) is int for row in X for x in row)
-        poly = M.basis[0] + M.basis[5].scale(F(-2, 3))
+        poly = poly_sum(M.basis[0], M.basis[5].scale(F(-2, 3)))
         Y = M.coordinates_of([poly])
         assert [row[0] for row in Y] == [1, 0, 0, 0, 0, F(-2, 3), 0, 0]
 
@@ -322,7 +347,52 @@ class TestUnitriangularBasis:
             weyl_module(P((2,)), 2)
 
 
+def sampled_borel_lines(M, trials=5, seed=178):
+    """The sampled check that the raising-operator kernel replaced: the
+    basis indices whose e_T is an eigenvector of the action of `trials`
+    pseudo-random upper-triangular rational matrices."""
+    rng = random.Random(seed)
+    candidates = set(range(M.dimension))
+    for _ in range(trials):
+        b = [[F(0)] * M.n for _ in range(M.n)]
+        for i in range(M.n):
+            b[i][i] = F(rng.randint(1, 9))
+            for j in range(i + 1, M.n):
+                b[i][j] = F(rng.randint(-9, 9), rng.randint(1, 3))
+        A = group_action_matrix(M, b)
+        candidates = {s for s in candidates if A[s][s] and
+                      all(A[r][s] == 0 for r in range(M.dimension) if r != s)}
+    return candidates
+
+
+HWV_MODULES = [(lam, n) for n in (1, 2, 3, 4) for size in range(7)
+               for lam in partitions_of(size, max_length=n)
+               if dim_weyl(lam, n) <= 200]
+
+
 class TestHighestWeight:
+    def test_matches_sampled_borel_check(self):
+        assert len(HWV_MODULES) == 73
+        for lam, n in HWV_MODULES:
+            M = weyl_module(lam, n)
+            assert sampled_borel_lines(M) == {highest_weight_vector(M)}, \
+                (lam, n)
+
+    def test_wrong_canonical_tableau_raises(self, monkeypatch):
+        M = weyl_module(P((2, 1)), 3)
+        other = M.tableaux[-1]
+        monkeypatch.setattr(weylmod, "canonical_tableau", lambda lam: other)
+        with pytest.raises(RuntimeError, match="highest weight"):
+            highest_weight_vector(M)
+
+    def test_second_killed_vector_raises(self):
+        M = weyl_module(P((2, 1)), 3)
+        # a constant is killed by every raising operator
+        extra = replace(M, tableaux=M.tableaux + (Tableau(((9,),)),),
+                        basis=M.basis + (MultiPoly.constant(9, 1),))
+        with pytest.raises(RuntimeError, match="highest weight"):
+            highest_weight_vector(extra)
+
     def test_row_module(self):
         M = weyl_module(P((2,)), 2)
         idx = highest_weight_vector(M)
@@ -340,24 +410,65 @@ class TestHighestWeight:
         assert M.tableaux[idx].rows == ((1, 1), (2,))
 
 
+def matrix_fixed_subspace_dim(M, perms, weight):
+    """The matrix route that column relabelling replaced: the weight columns
+    of A - I, A the action of each permutation matrix, ranked exactly."""
+    cols = [t for t, T in enumerate(M.tableaux)
+            if weight == "any" or T.content(M.n) == weight]
+    rows = []
+    for perm in perms:
+        A = group_action_matrix(M, permutation_matrix(M.n, perm))
+        rows += [[A[r][t] - (r == t) for t in cols] for r in range(M.dimension)]
+    return len(cols) - linalg.rank(rows, len(cols))
+
+
+def fixed_subspace_cases():
+    """(M, perms, weight): every module with n <= 3 and |lam| <= 6, at each
+    of its weights and "any", under the S_n generators, one swap, the
+    identity and no permutation at all."""
+    cases = []
+    for n in (1, 2, 3):
+        perm_sets = [perm_generators(n), [list(range(n))], []]
+        if n > 1:
+            perm_sets.append([[1, 0] + list(range(2, n))])
+        for size in range(7):
+            for lam in partitions_of(size, max_length=n):
+                M = weyl_module(lam, n)
+                weights = sorted({T.content(n) for T in M.tableaux})
+                cases += [(M, perms, weight) for perms in perm_sets
+                          for weight in ["any"] + weights]
+    return cases
+
+
 class TestFixedSubspace:
     def test_identity_gives_dim(self):
         M = weyl_module(P((2,)), 2)
-        assert fixed_subspace_dim(M, [linalg.identity(2)], "any") == 3
+        assert fixed_subspace_dim(M, [[0, 1]], "any") == 3
 
     def test_swap_weight_11(self):
         M = weyl_module(P((2,)), 2)
-        swap = permutation_matrix(2, [1, 0])
-        assert fixed_subspace_dim(M, [swap], (1, 1)) == 1
+        assert fixed_subspace_dim(M, [[1, 0]], (1, 1)) == 1
 
     def test_determinant_swap(self):
         M = weyl_module(P((1, 1)), 2)
-        swap = permutation_matrix(2, [1, 0])
-        assert fixed_subspace_dim(M, [swap], "any") == 0
+        assert fixed_subspace_dim(M, [[1, 0]], "any") == 0
 
     def test_no_generators(self):
         M = weyl_module(P((2,)), 2)
         assert fixed_subspace_dim(M, [], "any") == 3
+
+    def test_matches_the_matrix_route(self):
+        cases = fixed_subspace_cases()
+        assert len(cases) == 1306
+        for M, perms, weight in cases:
+            assert fixed_subspace_dim(M, perms, weight) == \
+                matrix_fixed_subspace_dim(M, perms, weight), \
+                (M.lam, M.n, perms, weight)
+
+    @pytest.mark.parametrize("perms", [[[0, 0]], [[0, 1, 2]], [[1]]])
+    def test_non_permutation_refused(self, perms):
+        with pytest.raises(ValueError, match="image list"):
+            fixed_subspace_dim(weyl_module(P((2,)), 2), perms)
 
 
 class TestPermStabilizerInvariants:
@@ -371,6 +482,24 @@ class TestPermStabilizerInvariants:
     def test_n3(self):
         assert perm_stabilizer_invariants(P((2, 2, 2)), 3) >= 1
         assert perm_stabilizer_invariants(P((3, 2, 1)), 3) == 0
+
+    def test_pinned_values(self):
+        # recorded from the permutation-matrix route over group_action_matrix
+        # that column relabelling replaced: every gamma of 2n with n <= 4
+        # inside the default dimension cap
+        pinned = {
+            ((2,), 1): 1, ((4,), 2): 1, ((3, 1), 2): 0, ((2, 2), 2): 1,
+            ((6,), 3): 1, ((5, 1), 3): 0, ((4, 2), 3): 1, ((4, 1, 1), 3): 0,
+            ((3, 3), 3): 0, ((3, 2, 1), 3): 0, ((2, 2, 2), 3): 1,
+            ((8,), 4): 1, ((6, 1, 1), 4): 0, ((5, 1, 1, 1), 4): 0,
+            ((4, 4), 4): 1, ((4, 3, 1), 4): 0, ((4, 2, 2), 4): 1,
+            ((4, 2, 1, 1), 4): 0, ((3, 3, 2), 4): 0, ((3, 3, 1, 1), 4): 0,
+            ((3, 2, 2, 1), 4): 0, ((2, 2, 2, 2), 4): 1}
+        got = {(tuple(gamma), n): perm_stabilizer_invariants(gamma, n)
+               for n in (1, 2, 3, 4)
+               for gamma in partitions_of(2 * n, max_length=n)
+               if dim_weyl(gamma, n) <= 200}
+        assert got == pinned
 
     def test_equivalence_with_evenness(self):
         for n in (2, 3):
@@ -454,7 +583,7 @@ def sl_left(m, a, b, p):
     nv = m * m
     out = MultiPoly(nv)
     for j in range(m):
-        out = out + derivative(p, a * m + j) * MultiPoly.variable(nv, b * m + j)
+        out = poly_sum(out, derivative(p, a * m + j) * variable(nv, b * m + j))
     return out
 
 
@@ -463,7 +592,7 @@ def sl_right(m, a, b, p):
     nv = m * m
     out = MultiPoly(nv)
     for i in range(m):
-        out = out + derivative(p, i * m + b) * MultiPoly.variable(nv, i * m + a)
+        out = poly_sum(out, derivative(p, i * m + b) * variable(nv, i * m + a))
     return out
 
 
@@ -520,31 +649,48 @@ small_monomials = st.tuples(st.integers(0, 3), st.integers(0, 3))
 
 @st.composite
 def operator_systems(draw):
+    """Columns (single monomials, or random polynomials that may repeat or
+    depend on each other) over a monomial set, and operators given by the
+    image table of every monomial in it."""
     monos = draw(st.lists(small_monomials, min_size=1, max_size=8, unique=True))
+    poly = st.dictionaries(st.sampled_from(monos),
+                           st.integers(-3, 3).filter(bool), max_size=4)
+    polys = draw(st.one_of(st.just([{e: 1} for e in monos]),
+                           st.lists(poly, min_size=1, max_size=6)))
     image = st.dictionaries(small_monomials, st.integers(-2, 2), max_size=3)
     tables = draw(st.lists(st.fixed_dictionaries({e: image for e in monos}),
                            max_size=4))
-    return monos, tables
+    return polys, tables
 
 
-def as_rows(vectors, monos):
-    return [[vec.get(e, 0) for e in monos] for vec in vectors]
+def combine(coeffs, polys):
+    """sum_j coeffs[j] polys[j] as a sparse dict, coeffs a dict over j."""
+    out = {}
+    for j, a in coeffs.items():
+        for e, c in polys[j].items():
+            out[e] = out.get(e, 0) + a * c
+    return {e: c for e, c in out.items() if c}
 
 
 class TestMonomialKernel:
     @given(operator_systems())
     @settings(max_examples=200, deadline=None)
     def test_spans_the_intersection(self, system):
-        monos, tables = system
-        got = _monomial_kernel(monos, [table.__getitem__ for table in tables])
-        ref = kernel_intersection([{e: 1} for e in monos],
-                                  [linear_extension(t) for t in tables])
+        polys, tables = system
+        got = _monomial_kernel(polys, [table.__getitem__ for table in tables])
+        ref = kernel_intersection(
+            [{j: 1} for j in range(len(polys))],
+            [lambda vec, t=t: linear_extension(t)(combine(vec, polys))
+             for t in tables])
+        ref_rows = [[vec.get(j, 0) for j in range(len(polys))] for vec in ref]
         assert len(got) == len(ref)
-        assert linalg.rank(as_rows(got + ref, monos), len(monos)) == len(ref)
+        assert linalg.rank([list(v) for v in got] + ref_rows,
+                           len(polys)) == len(ref)
         for vec in got:
-            assert all(vec.values()) and set(vec) <= set(monos)
+            assert len(vec) == len(polys) and any(vec)
             for table in tables:
-                assert linear_extension(table)(vec) == {}
+                killed = combine(dict(enumerate(vec)), polys)
+                assert linear_extension(table)(killed) == {}
 
     @given(st.sampled_from([2, 3]), st.data())
     @settings(max_examples=60, deadline=None)
@@ -565,7 +711,8 @@ class TestMonomialKernel:
         e = tuple(data.draw(st.lists(st.integers(0, 3), min_size=nv,
                                      max_size=nv)))
         p = MultiPoly(nv, {e: 1})
-        assert _relabel(image)(e) == (permute_variables(p, image) - p).terms
+        assert _relabel(image)(e) == \
+            poly_sum(permute_variables(p, image), p.scale(-1)).terms
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("r", [0, 1, 2, 3])
@@ -596,13 +743,11 @@ class TestKempf:
 
 class TestMultiPoly:
     def test_arithmetic(self):
-        x = MultiPoly.variable(2, 0)
-        y = MultiPoly.variable(2, 1)
-        p = (x + y) * (x + y)
+        x_plus_y = poly_sum(variable(2, 0), variable(2, 1))
+        p = x_plus_y * x_plus_y
         assert p.terms == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
 
     def test_to_string_stable(self):
-        x = MultiPoly.variable(2, 0)
-        y = MultiPoly.variable(2, 1)
-        p = x * x - y.scale(2)
+        x, y = variable(2, 0), variable(2, 1)
+        p = poly_sum(x * x, y.scale(-2))
         assert p.to_string(["a", "b"]) == "a^2 - 2*b"
