@@ -8,7 +8,9 @@ Example:
 """
 
 import argparse
+from dataclasses import replace
 
+from weylbox.config import DEFAULT
 from weylbox.kronecker import g_stretch
 from weylbox.lr import LRQuery, lr_stretch
 from weylbox.partitions import Partition
@@ -45,10 +47,11 @@ def main():
     args = parser.parse_args()
 
     queries = args.query or DEFAULT_QUERIES
+    budgets = replace(DEFAULT, holdout=args.holdout)
     print(f"== LR stretching functions, k = 1..{args.k} ==")
     for raw in queries:
         a, b, lam = (Partition.parse(tok) for tok in raw.split())
-        series = lr_stretch(LRQuery(a, b, lam), args.k, holdout=args.holdout)
+        series = lr_stretch(LRQuery(a, b, lam), args.k, budgets)
         print(f"  ({a.serialize()} | {b.serialize()} | {lam.serialize()}): "
               f"{list(series.values)}  ->  {fit_text(series.fit)}")
 

@@ -8,7 +8,7 @@ this suite are wall-clock budgets on the two timed criteria.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import permutations as iter_permutations
 
@@ -64,7 +64,7 @@ def criterion_lr_oracle_triangle(budgets: Budgets) -> str:
         prod = product_expand(alpha, beta)
         for lam in partitions_of(alpha.size + beta.size, max_length=4):
             expected = prod.get(lam, 0)
-            got = lr_coefficient(LRQuery(alpha, beta, lam))
+            got = lr_coefficient(LRQuery(alpha, beta, lam), budgets)
             if got != expected:
                 raise AssertionError(
                     f"oracle triangle broken at ({alpha},{beta},{lam}): "
@@ -79,10 +79,10 @@ def criterion_lr_saturation(budgets: Budgets) -> str:
     for alpha, beta in _lr_range():
         for lam in partitions_of(alpha.size + beta.size, max_length=4):
             q = LRQuery(alpha, beta, lam)
-            positive = lr_coefficient(q) > 0
-            if lr_positive(q) != positive:
+            positive = lr_coefficient(q, budgets) > 0
+            if lr_positive(q, budgets) != positive:
                 raise AssertionError(f"LP positivity wrong at {q}")
-            if (lr_coefficient(q.scale(2)) > 0) != positive:
+            if (lr_coefficient(q.scale(2), budgets) > 0) != positive:
                 raise AssertionError(f"saturation broken at {q}")
             triples += 1
     return f"{triples} triples, feasibility = positivity = scaled positivity"
@@ -90,19 +90,19 @@ def criterion_lr_saturation(budgets: Budgets) -> str:
 
 def criterion_lr_stretch(budgets: Budgets) -> str:
     """Ten fixed stretch series at k = 1..7 all admit exact quasi-polynomial
-    fits (period <= 4, degree <= 6) verified on two holdout points; the
-    headline series equals k + 1."""
+    fits (within the budgets' period and degree, 4 and 6 by default)
+    verified on two holdout points; the headline series equals k + 1."""
+    budgets = replace(budgets, holdout=2)
     for raw in STRETCH_QUERIES:
         q = LRQuery(Partition(raw[0]), Partition(raw[1]), Partition(raw[2]))
-        series = lr_stretch(q, 7, max_period=budgets.max_period,
-                            max_degree=budgets.max_degree, holdout=2)
+        series = lr_stretch(q, 7, budgets)
         if series.fit is None:
             raise AssertionError(f"no fit for {raw}")
         for k, v in enumerate(series.values, start=1):
             if series.fit.eval(k) != v:
                 raise AssertionError(f"fit does not reproduce values at {raw}")
     headline = lr_stretch(LRQuery(Partition((2, 1)), Partition((2, 1)),
-                                  Partition((3, 2, 1))), 7)
+                                  Partition((3, 2, 1))), 7, budgets)
     if headline.values != tuple(k + 1 for k in range(1, 8)):
         raise AssertionError(f"headline series is {headline.values}, not k+1")
     return f"{len(STRETCH_QUERIES)} series fitted exactly; headline = k+1"
@@ -111,10 +111,10 @@ def criterion_lr_stretch(budgets: Budgets) -> str:
 def criterion_plethysm_oracle(budgets: Budgets) -> str:
     """Frozen small plethysms plus the dimension identity
     sum_lam a^lam * dim V_lam(GL_n) = #SSYT(pi, dim V_mu(GL_n))."""
-    got = plethysm_expand(Partition((2,)), Partition((2,)))
+    got = plethysm_expand(Partition((2,)), Partition((2,)), budgets)
     if got != {Partition((4,)): 1, Partition((2, 2)): 1}:
         raise AssertionError(f"plethysm (2)[(2)] = {got}")
-    got = plethysm_expand(Partition((1, 1)), Partition((2,)))
+    got = plethysm_expand(Partition((1, 1)), Partition((2,)), budgets)
     if got != {Partition((3, 1)): 1}:
         raise AssertionError(f"plethysm (1,1)[(2)] = {got}")
     pairs = 0
@@ -124,7 +124,7 @@ def criterion_plethysm_oracle(budgets: Budgets) -> str:
                 continue
             for pi in partitions_of(a):
                 for mu in partitions_of(b):
-                    expansion = plethysm_expand(pi, mu)
+                    expansion = plethysm_expand(pi, mu, budgets)
                     pairs += 1
                     for n in (1, 2, 3):
                         lhs = sum(c * dim_weyl(lam, n)
@@ -139,7 +139,7 @@ def criterion_plethysm_oracle(budgets: Budgets) -> str:
     rows = []
     diag = []
     for k in range(1, 5):
-        expansion = plethysm_expand(Partition((k,)), mu)
+        expansion = plethysm_expand(Partition((k,)), mu, budgets)
         rows.append(expansion.get(Partition((2 * k,)), 0))
         diag.append(expansion.get(Partition((k, k)), 0))
     row_fit = fit_quasipolynomial(rows, 4, 6, 2)
@@ -159,7 +159,7 @@ def criterion_kronecker(budgets: Budgets) -> str:
         for lam in partitions_of(m):
             for mu in partitions_of(m):
                 expected = 1 if lam == mu else 0
-                if kronecker(Partition((m,)), lam, mu) != expected:
+                if kronecker(Partition((m,)), lam, mu, budgets) != expected:
                     raise AssertionError(f"Cauchy fails at m={m}, {lam}, {mu}")
     checked = 0
     for n in range(1, 6):
@@ -167,14 +167,14 @@ def criterion_kronecker(budgets: Budgets) -> str:
         for a in parts:
             for b in parts:
                 for c in parts:
-                    vals = {kronecker(x, y, z)
+                    vals = {kronecker(x, y, z, budgets)
                             for x, y, z in iter_permutations((a, b, c))}
                     if len(vals) != 1:
                         raise AssertionError(f"symmetry fails at {(a, b, c)}")
                     checked += 1
-    if det_stabilizer_invariant_mult(Partition((2,)), 2) != 1:
+    if det_stabilizer_invariant_mult(Partition((2,)), 2, budgets) != 1:
         raise AssertionError("det invariant mult at (2), m=2 is not 1")
-    if det_stabilizer_invariant_mult(Partition((1, 1)), 2) != 0:
+    if det_stabilizer_invariant_mult(Partition((1, 1)), 2, budgets) != 0:
         raise AssertionError("det invariant mult at (1,1), m=2 is not 0")
     return f"Cauchy m<=5, symmetry on {checked} triples, det multiplicities"
 
@@ -185,8 +185,7 @@ def criterion_even_partition(budgets: Budgets) -> str:
     cases = 0
     for n in (2, 3):
         for gamma in partitions_of(2 * n, max_length=n):
-            d = perm_stabilizer_invariants(gamma, n,
-                                           dim_cap=budgets.weyl_dim_cap)
+            d = perm_stabilizer_invariants(gamma, n, budgets)
             if (d > 0) != is_even(gamma):
                 raise AssertionError(
                     f"even-partition criterion fails at n={n}, {gamma}: dim {d}")
@@ -216,11 +215,11 @@ def criterion_magic_squares(budgets: Budgets) -> str:
     and r <= 3; weight-1 squares are the n! permutation matrices, one orbit."""
     from math import factorial
     for n in (2, 3):
-        squares, orbits = enumerate_magic_squares(n, 1)
+        squares, orbits = enumerate_magic_squares(n, 1, budgets)
         if len(squares) != factorial(n) or orbits != 1:
             raise AssertionError(f"weight-1 count wrong at n={n}")
         for r in range(4):
-            invariant_ring_dimension_check(n, r)  # raises on mismatch
+            invariant_ring_dimension_check(n, r, budgets)  # raises on mismatch
     return "orbit counts match fixed-space dimensions (n <= 3, r <= 3)"
 
 
@@ -250,7 +249,7 @@ def criterion_obstruction_family(budgets: Budgets) -> str:
     for cert in certs:
         verify_obstruction(cert)
     for cert in certs[:2]:  # n = 2, 3
-        full = verify_obstruction(cert, full=True)
+        full = verify_obstruction(cert, True, budgets)
         if full.checks.invariant_dim is None or full.checks.invariant_dim < 1:
             raise AssertionError(f"full verification failed at n={cert.n}")
     return f"49 certificates in {elapsed * 1000:.1f} ms; n=2,3 fully verified"

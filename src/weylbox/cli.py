@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 
 from . import __version__
 from .acceptance import CRITERIA, format_result, run_criterion
@@ -145,8 +146,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# flags that override a fit bound of the budgets; an explicit value is taken
+# as given (a 0 is refused by the fit), never validated like a config file
+FIT_FLAGS = ("max_period", "max_degree", "holdout")
+
+
 def _dispatch(args: argparse.Namespace, budgets: Budgets) -> dict:
     cmd = args.command
+    budgets = replace(budgets, **{
+        name: getattr(args, name) for name in FIT_FLAGS
+        if getattr(args, name, None) is not None})
 
     if cmd == "lr":
         q = None
@@ -154,17 +163,11 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets) -> dict:
             q = LRQuery(args.alpha, args.beta, args.lam)
         if args.lr_command == "coeff":
             # lr_coefficient raises OracleMismatchError unless both routes agree
-            value = lr_coefficient(q, side_cap=budgets.hive_side_cap)
+            value = lr_coefficient(q, budgets)
             return {"tableau": value, "hive": value, "agree": True}
         if args.lr_command == "positive":
-            return {"positive": lr_positive(q, side_cap=budgets.hive_side_cap)}
-        series = lr_stretch(
-            q, args.K,
-            max_period=(budgets.max_period if args.max_period is None
-                        else args.max_period),
-            max_degree=budgets.max_degree,
-            holdout=budgets.holdout if args.holdout is None else args.holdout,
-            side_cap=budgets.hive_side_cap)
+            return {"positive": lr_positive(q, budgets)}
+        series = lr_stretch(q, args.K, budgets)
         tableau_values = []
         for k in range(1, args.K + 1):
             qk = q.scale(k)
@@ -182,8 +185,7 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets) -> dict:
         if args.sf_command == "product":
             return {"coefficients": _coeff_map(product_expand(args.alpha, args.beta))}
         return {"coefficients": _coeff_map(
-            plethysm_expand(args.pi, args.mu,
-                            degree_cap=budgets.plethysm_degree_cap))}
+            plethysm_expand(args.pi, args.mu, budgets))}
 
     if cmd == "ehrhart":
         with open(args.polytope) as fh:
@@ -199,28 +201,18 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets) -> dict:
             payload["values"] = list(values)
             if args.fit:
                 fit = fit_quasipolynomial(
-                    values,
-                    (budgets.max_period if args.max_period is None
-                     else args.max_period),
-                    (budgets.max_degree if args.max_degree is None
-                     else args.max_degree),
-                    budgets.holdout if args.holdout is None else args.holdout,
-                    skip_prefix=args.skip_prefix)
+                    values, budgets.max_period, budgets.max_degree,
+                    budgets.holdout, skip_prefix=args.skip_prefix)
                 payload["fit"] = fit.to_json()
         return payload
 
     if cmd == "kron":
         if args.kron_command == "coeff":
-            return {"kronecker": kronecker(
-                args.lam, args.mu, args.nu, table_cap=budgets.char_table_max_n)}
+            return {"kronecker": kronecker(args.lam, args.mu, args.nu, budgets)}
         if args.kron_command == "det-invariant":
             return {"multiplicity": det_stabilizer_invariant_mult(
-                args.lam, args.m, table_cap=budgets.char_table_max_n)}
-        series = g_stretch(args.lam, args.m, args.K,
-                           table_cap=budgets.char_table_max_n,
-                           max_period=budgets.max_period,
-                           max_degree=budgets.max_degree,
-                           holdout=budgets.holdout)
+                args.lam, args.m, budgets)}
+        series = g_stretch(args.lam, args.m, args.K, budgets)
         return {"values": list(series.values),
                 "fit": series.fit.to_json() if series.fit else None}
 
@@ -228,8 +220,7 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets) -> dict:
         if args.weyl_command == "dim":
             payload = {"dimension": dim_weyl(args.lam, args.n)}
             if args.basis:
-                model = weyl_module(args.lam, args.n,
-                                    dim_cap=budgets.weyl_dim_cap)
+                model = weyl_module(args.lam, args.n, budgets)
                 names = matrix_variable_names(args.n)
                 payload["basis"] = [
                     {"tableau": [list(row) for row in T.rows],
@@ -237,8 +228,7 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets) -> dict:
                     for T, poly in zip(model.tableaux, model.basis)]
             return payload
         if args.weyl_command == "invariants":
-            dim = perm_stabilizer_invariants(args.gamma, args.n,
-                                             dim_cap=budgets.weyl_dim_cap)
+            dim = perm_stabilizer_invariants(args.gamma, args.n, budgets)
             return {"invariant_dim": dim}
         if args.weyl_command == "symcheck":
             dim, basis = symmetry_characterization_space(args.kind, args.size)
@@ -253,9 +243,7 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets) -> dict:
                 "permutations_transitive": result.permutations_transitive}
 
     if cmd == "magic":
-        squares, reps = magic_orbits(
-            args.n, args.r, size_cap=budgets.magic_size_cap,
-            weight_cap=budgets.magic_weight_cap)
+        squares, reps = magic_orbits(args.n, args.r, budgets)
         payload = {"count": len(squares), "orbits": len(reps)}
         payload["representatives"] = [[list(row) for row in rep.entries]
                                       for rep in reps]
@@ -268,9 +256,8 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets) -> dict:
 
     if cmd == "obstruct":
         if args.obstruct_command == "emit":
-            certs = []
-            for cert in emit_obstruction_family(args.max_n):
-                certs.append(verify_obstruction(cert, full=args.full))
+            certs = [verify_obstruction(cert, args.full, budgets)
+                     for cert in emit_obstruction_family(args.max_n)]
             payload = {"certificates": [c.to_json() for c in certs]}
             if args.out:
                 with open(args.out, "w") as fh:
@@ -279,7 +266,7 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets) -> dict:
                 payload["written"] = args.out
             return payload
         certs = read_certificates(args.file)
-        verified = [verify_obstruction(c, full=args.full).to_json()
+        verified = [verify_obstruction(c, args.full, budgets).to_json()
                     for c in certs]
         return {"certificates": verified, "verified": len(verified)}
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
-from .config import DEFAULT, BudgetError
+from .config import DEFAULT, BudgetError, Budgets
 from .partitions import Partition, partitions_of
 from .polytope import QuasiPolynomial, FitError, fit_quasipolynomial
 
@@ -82,21 +82,19 @@ def _character_row(lam: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def kronecker(lam: Partition, mu: Partition, nu: Partition,
-              table_cap: int | None = None) -> int:
+              budgets: Budgets = DEFAULT) -> int:
     """Kronecker coefficient: multiplicity of the trivial character in
     chi_lam * chi_mu * chi_nu, symmetric in all three arguments. Refuses
-    with BudgetError when n exceeds ``table_cap`` (default
-    ``char_table_max_n``), before any character row is read or built."""
+    with BudgetError when n exceeds ``char_table_max_n``, before any
+    character row is read or built."""
     lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
-    if table_cap is None:
-        table_cap = DEFAULT.char_table_max_n
     n = lam.size
     if mu.size != n or nu.size != n:
         raise ValueError(
             f"sizes differ: {lam.size}, {mu.size}, {nu.size}")
-    if n > table_cap:
-        raise BudgetError(
-            f"character table budget exceeded: n={n} > {table_cap}")
+    if n > budgets.char_table_max_n:
+        raise BudgetError(f"character table budget exceeded: "
+                          f"n={n} > {budgets.char_table_max_n}")
     if n == 0:
         return 1
     total = sum(z * a * b * c for z, a, b, c in zip(
@@ -110,7 +108,7 @@ def kronecker(lam: Partition, mu: Partition, nu: Partition,
 
 
 def det_stabilizer_invariant_mult(lam: Partition, m: int,
-                                  table_cap: int | None = None) -> int:
+                                  budgets: Budgets = DEFAULT) -> int:
     """Multiplicity of the trivial SL_m x SL_m representation in the
     irreducible GL(m^2)-representation labelled by lam, restricted through
     GL_m x GL_m acting on C^m (x) C^m.
@@ -119,7 +117,7 @@ def det_stabilizer_invariant_mult(lam: Partition, m: int,
     SL-trivial constituents are those with both GL_m labels rectangular,
     which forces the single shape R = (|lam|/m, ..., |lam|/m). The discrete
     transpose part of the full determinant stabilizer is ignored here.
-    ``table_cap`` bounds the Kronecker coefficient as in :func:`kronecker`.
+    The budgets bound the Kronecker coefficient as in :func:`kronecker`.
     """
     lam = Partition(lam)
     if m < 1:
@@ -129,7 +127,7 @@ def det_stabilizer_invariant_mult(lam: Partition, m: int,
     if lam.size % m != 0:
         return 0
     R = Partition((lam.size // m,) * m)
-    return kronecker(lam, R, R, table_cap=table_cap)
+    return kronecker(lam, R, R, budgets)
 
 
 @dataclass(frozen=True)
@@ -141,35 +139,25 @@ class GStretchSeries:
 
 
 def g_stretch(lam: Partition, m: int, K: int,
-              table_cap: int | None = None,
-              max_period: int | None = None,
-              max_degree: int | None = None,
-              holdout: int | None = None) -> GStretchSeries:
+              budgets: Budgets = DEFAULT) -> GStretchSeries:
     """The stretching function k -> det_stabilizer_invariant_mult(k*lam, m)
-    for k = 1..K, with an empirical quasi-polynomial fit when K leaves room
-    for a holdout."""
+    for k = 1..K, with an empirical quasi-polynomial fit within the budgets'
+    period and degree when K leaves room for their holdout."""
     lam = Partition(lam)
-    if table_cap is None:
-        table_cap = DEFAULT.char_table_max_n
-    if max_period is None:
-        max_period = DEFAULT.max_period
-    if max_degree is None:
-        max_degree = DEFAULT.max_degree
-    if holdout is None:
-        holdout = DEFAULT.holdout
     if K < 1:
         raise ValueError("K must be positive")
     for k in range(1, K + 1):
-        if k * lam.size > table_cap:
+        if k * lam.size > budgets.char_table_max_n:
             raise BudgetError(
                 f"character table budget exceeded at k={k}: "
-                f"|k*lam|={k * lam.size} > {table_cap}")
-    values = tuple(det_stabilizer_invariant_mult(lam.scale(k), m, table_cap)
+                f"|k*lam|={k * lam.size} > {budgets.char_table_max_n}")
+    values = tuple(det_stabilizer_invariant_mult(lam.scale(k), m, budgets)
                    for k in range(1, K + 1))
     fit = None
-    if K >= holdout + 2:
+    if K >= budgets.holdout + 2:
         try:
-            fit = fit_quasipolynomial(values, max_period, max_degree, holdout)
+            fit = fit_quasipolynomial(values, budgets.max_period,
+                                      budgets.max_degree, budgets.holdout)
         except FitError:
             fit = None  # recorded as empirical data without a fit
     return GStretchSeries(lam, m, values, fit)

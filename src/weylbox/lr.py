@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 
-from .config import DEFAULT, BudgetError
+from .config import DEFAULT, BudgetError, Budgets
 from .partitions import Partition
 from .polytope import Polytope, QuasiPolynomial, _Reduced, fit_quasipolynomial
 
@@ -60,10 +60,8 @@ class StretchSeries:
     fit: QuasiPolynomial | None
 
 
-def _hive_side(q: LRQuery, side: int | None, side_cap: int | None) -> int:
-    """The side n of q's hive, checked against the sizes, lengths and cap."""
-    if side_cap is None:
-        side_cap = DEFAULT.hive_side_cap
+def _hive_side(q: LRQuery, side: int | None) -> int:
+    """The side n of q's hive, checked against the sizes and lengths."""
     if not q.sizes_match():
         raise ValueError(
             f"size mismatch: |lam|={q.lam.size} != |alpha|+|beta|="
@@ -73,8 +71,14 @@ def _hive_side(q: LRQuery, side: int | None, side_cap: int | None) -> int:
         if side < n:
             raise ValueError(f"side {side} too small for lengths up to {n}")
         n = side
-    if n > side_cap:
-        raise BudgetError(f"hive side {n} exceeds cap {side_cap}")
+    return n
+
+
+def _capped_side(q: LRQuery, side: int | None, budgets: Budgets) -> int:
+    """``_hive_side``, then refused when it exceeds the hive side cap."""
+    n = _hive_side(q, side)
+    if n > budgets.hive_side_cap:
+        raise BudgetError(f"hive side {n} exceeds cap {budgets.hive_side_cap}")
     return n
 
 
@@ -126,11 +130,11 @@ def _hive_template(n: int):
     return tuple(rows.items())
 
 
-def _hive_rows(q: LRQuery, side: int | None = None,
-               side_cap: int | None = None):
+def _hive_rows(q: LRQuery, side: int | None = None):
     """Integer (A, b) of the hive polytope (see ``hive_polytope``): the
-    side-n template with this query's boundary partial sums filled in."""
-    n = _hive_side(q, side, side_cap)
+    side-n template with this query's boundary partial sums filled in. The
+    side cap is the caller's check."""
+    n = _hive_side(q, side)
     sums = list(accumulate(q.alpha.padded(n) + q.beta.padded(n), initial=0))
     sums += accumulate(q.lam.padded(n))
     A, b = [], []
@@ -145,7 +149,7 @@ def _hive_rows(q: LRQuery, side: int | None = None,
 
 
 def hive_polytope(q: LRQuery, side: int | None = None,
-                  side_cap: int | None = None) -> Polytope:
+                  budgets: Budgets = DEFAULT) -> Polytope:
     """The hive model for c^lam_{alpha,beta}, in interior coordinates.
 
     A hive of side n is a triangular array indexed by (i, j, k) with
@@ -165,7 +169,7 @@ def hive_polytope(q: LRQuery, side: int | None = None,
     The rows come from a per-side template (``_hive_template``), so a query
     only fills in its boundary partial sums; the side cap is checked first.
     """
-    return Polytope(*_hive_rows(q, side, side_cap))
+    return Polytope(*_hive_rows(q, _capped_side(q, side, budgets)))
 
 
 def _skew_lr_count(alpha: Partition, beta: Partition, lam: Partition) -> int:
@@ -219,23 +223,24 @@ def _skew_lr_count(alpha: Partition, beta: Partition, lam: Partition) -> int:
 def _reduced_hive(q: LRQuery, side: int) -> _Reduced:
     """The side-``side`` hive of q, reduced once and shared by the
     coefficient, positivity and stretch queries on q. It holds only the
-    reduction, never an answer; callers check the side cap first."""
-    return _Reduced(*_hive_rows(q, side, side))
+    reduction, never an answer, and no budget: callers check the side cap
+    first."""
+    return _Reduced(*_hive_rows(q, side))
 
 
-def _hive(q: LRQuery, side_cap: int | None) -> _Reduced:
+def _hive(q: LRQuery, budgets: Budgets) -> _Reduced:
     """The shared reduction of q's hive, after the side-cap check."""
-    return _reduced_hive(q, _hive_side(q, None, side_cap))
+    return _reduced_hive(q, _capped_side(q, None, budgets))
 
 
-def lr_coefficient(q: LRQuery, side_cap: int | None = None) -> int:
+def lr_coefficient(q: LRQuery, budgets: Budgets = DEFAULT) -> int:
     """c^lam_{alpha,beta} computed by BOTH the tableau rule and hive
     counting; raises OracleMismatchError when the two disagree. The hive,
     and with it the side cap, comes first, so an over-cap query refuses
     before any tableau is enumerated."""
     if not q.sizes_match():
         return 0
-    hive = _hive(q, side_cap)
+    hive = _hive(q, budgets)
     t = _skew_lr_count(q.alpha, q.beta, q.lam)
     h = hive.count(1)
     if t != h:
@@ -244,36 +249,31 @@ def lr_coefficient(q: LRQuery, side_cap: int | None = None) -> int:
     return t
 
 
-def lr_positive(q: LRQuery, side_cap: int | None = None) -> bool:
+def lr_positive(q: LRQuery, budgets: Budgets = DEFAULT) -> bool:
     """Positivity via the saturation property: c > 0 iff the hive polytope
     is nonempty, decided by exact LP with no integer enumeration."""
     if not q.sizes_match():
         return False
-    return _hive(q, side_cap).feasible(1)
+    return _hive(q, budgets).feasible(1)
 
 
-def lr_stretch(q: LRQuery, K: int, max_period: int | None = None,
-               max_degree: int | None = None, holdout: int | None = None,
-               side_cap: int | None = None) -> StretchSeries:
+def lr_stretch(q: LRQuery, K: int,
+               budgets: Budgets = DEFAULT) -> StretchSeries:
     """Counts at the k-scaled query for k = 1..K, with a quasi-polynomial fit.
 
     The k-scaled hive polytope is the k-dilation of the unscaled one (same
     matrix, right-hand side times k; see ``hive_polytope``), so the one
-    reduced hive of q is counted as an Ehrhart family.
+    reduced hive of q is counted as an Ehrhart family, and fitted within
+    the budgets' period, degree and holdout.
     """
     if K < 4:
         raise ValueError("need K >= 4 for a meaningful stretch series")
-    if max_period is None:
-        max_period = DEFAULT.max_period
-    if max_degree is None:
-        max_degree = DEFAULT.max_degree
-    if holdout is None:
-        holdout = DEFAULT.holdout
-    if holdout < 2:
+    if budgets.holdout < 2:
         raise ValueError("holdout must be at least 2")
     if not q.sizes_match():
         raise ValueError("size mismatch in stretch query")
 
-    values = _hive(q, side_cap).counts(K)
-    fit = fit_quasipolynomial(values, max_period, max_degree, holdout)
+    values = _hive(q, budgets).counts(K)
+    fit = fit_quasipolynomial(values, budgets.max_period, budgets.max_degree,
+                              budgets.holdout)
     return StretchSeries(q, values, fit)

@@ -15,7 +15,7 @@ import itertools
 import json
 from dataclasses import dataclass, replace
 
-from .config import DEFAULT, BudgetError
+from .config import DEFAULT, BudgetError, Budgets
 from .partitions import Partition, is_even, weak_compositions
 from .weylmod import (MultiPoly, _grid_relabels, _monomial_kernel,
                       _torus_monomials, perm_stabilizer_invariants)
@@ -61,24 +61,20 @@ class MagicSquare:
         return out
 
 
-def magic_orbits(n: int, r: int, size_cap: int | None = None,
-                 weight_cap: int | None = None
+def magic_orbits(n: int, r: int, budgets: Budgets = DEFAULT
                  ) -> tuple[list[MagicSquare], list[MagicSquare]]:
     """All n x n magic squares of weight r, and one representative per orbit
     under row/column permutations: the sorted distinct canonical forms, each
-    computed once per square."""
-    if size_cap is None:
-        size_cap = DEFAULT.magic_size_cap
-    if weight_cap is None:
-        weight_cap = DEFAULT.magic_weight_cap
+    computed once per square. n and r are refused above ``magic_size_cap``
+    and ``magic_weight_cap``."""
     if n < 1:
         raise ValueError("n must be positive")
-    if n > size_cap:
-        raise BudgetError(f"n={n} exceeds cap {size_cap}")
+    if n > budgets.magic_size_cap:
+        raise BudgetError(f"n={n} exceeds cap {budgets.magic_size_cap}")
     if r < 0:
         raise ValueError("weight must be nonnegative")
-    if r > weight_cap:
-        raise BudgetError(f"weight {r} exceeds cap {weight_cap}")
+    if r > budgets.magic_weight_cap:
+        raise BudgetError(f"weight {r} exceeds cap {budgets.magic_weight_cap}")
 
     squares: list[MagicSquare] = []
     col_left = [r] * n
@@ -107,18 +103,12 @@ def magic_orbits(n: int, r: int, size_cap: int | None = None,
     return squares, [MagicSquare(n, f) for f in forms]
 
 
-def enumerate_magic_squares(n: int, r: int,
-                            size_cap: int | None = None,
-                            weight_cap: int | None = None
+def enumerate_magic_squares(n: int, r: int, budgets: Budgets = DEFAULT
                             ) -> tuple[list[MagicSquare], int]:
     """All n x n magic squares of weight r plus the number of orbits under
     row/column permutations (canonical-form counting)."""
-    squares, reps = magic_orbits(n, r, size_cap, weight_cap)
+    squares, reps = magic_orbits(n, r, budgets)
     return squares, len(reps)
-
-
-def magic_orbit_representatives(n: int, r: int, **caps) -> list[MagicSquare]:
-    return magic_orbits(n, r, **caps)[1]
 
 
 def basic_invariant_poly(A: MagicSquare) -> MultiPoly:
@@ -132,7 +122,8 @@ def basic_invariant_poly(A: MagicSquare) -> MultiPoly:
     return MultiPoly(n * n, terms)
 
 
-def invariant_ring_dimension_check(n: int, r: int, **caps) -> bool:
+def invariant_ring_dimension_check(n: int, r: int,
+                                   budgets: Budgets = DEFAULT) -> bool:
     """Two independent computations of the dimension of the degree-nr
     invariant space must agree: the number of magic-square orbits and the
     fixed subspace of the row and column permutations on the torus-fixed
@@ -141,7 +132,7 @@ def invariant_ring_dimension_check(n: int, r: int, **caps) -> bool:
     supports: nonzero polynomials with disjoint supports are independent."""
     if n > 3:
         raise ValueError("dimension check is budgeted for n <= 3")
-    reps = magic_orbit_representatives(n, r, **caps)
+    reps = magic_orbits(n, r, budgets)[1]
     seen: set[tuple[int, ...]] = set()
     for rep in reps:
         support = basic_invariant_poly(rep).terms
@@ -216,12 +207,13 @@ def emit_obstruction_family(N: int):
             ObstructionChecks(even=True, alpha_neq_beta=bool(gamma)))
 
 
-def verify_obstruction(cert: ObstructionCertificate,
-                       full: bool = False) -> ObstructionCertificate:
+def verify_obstruction(cert: ObstructionCertificate, full: bool = False,
+                       budgets: Budgets = DEFAULT) -> ObstructionCertificate:
     """Structural verification always: gamma must be even (occurrence on the
     permanent side) and nonempty (no invariant on the trace side, where the
     first factor is trivial). With full=True and n <= 3 the invariant
-    multiplicity is computed explicitly and must be positive. The returned
+    multiplicity is computed explicitly, within the budgets' Weyl-module
+    dimension cap, and must be positive. The returned
     invariant_dim is the one computed here, else None: a value read with the
     certificate is never passed through unchecked."""
     if cert.gamma.size != 2 * cert.n:
@@ -233,7 +225,7 @@ def verify_obstruction(cert: ObstructionCertificate,
         raise ObstructionError("not an obstruction: empty gamma")
     inv_dim = None
     if full and cert.n <= 3:
-        inv_dim = perm_stabilizer_invariants(cert.gamma, cert.n)
+        inv_dim = perm_stabilizer_invariants(cert.gamma, cert.n, budgets)
         if inv_dim < 1:
             raise ObstructionError(
                 "not an obstruction: no stabilizer invariant found")

@@ -34,10 +34,6 @@ class Partition(tuple):
     def size(self) -> int:
         return sum(self)
 
-    @property
-    def length(self) -> int:
-        return len(self)
-
     def padded(self, n: int) -> tuple[int, ...]:
         """Parts padded with zeros to length n (n >= length required)."""
         if n < len(self):

@@ -22,7 +22,7 @@ from itertools import product
 from math import factorial
 from typing import Mapping
 
-from .config import DEFAULT, BudgetError
+from .config import DEFAULT, BudgetError, Budgets
 from .partitions import Partition, kostka, partitions_of, weak_compositions
 
 
@@ -202,7 +202,7 @@ def _splits(j: int, m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
 
 
 def plethysm_expand(pi: Partition, mu: Partition,
-                    degree_cap: int | None = None) -> dict[Partition, int]:
+                    budgets: Budgets = DEFAULT) -> dict[Partition, int]:
     """Plethysm constants a^lam_{pi,mu} by monomial substitution.
 
     The alphabet is the monomials of s_mu in N = |pi|*|mu| variables, one
@@ -212,16 +212,14 @@ def plethysm_expand(pi: Partition, mu: Partition,
     letters, each taken j >= 1 times, whose |pi| picks sum to lam, and the
     result expanded in the Schur basis. j picks among m equal letters split
     as rho |- j in ``_ways(rho, m)`` ways, so a multiset weighs
-    sum of prod _ways * K_{pi, union of the rho}. The degree cap is checked
-    before any cached work.
+    sum of prod _ways * K_{pi, union of the rho}. The degree cap
+    (``plethysm_degree_cap``) is checked before any cached work.
     """
     pi, mu = Partition(pi), Partition(mu)
-    if degree_cap is None:
-        degree_cap = DEFAULT.plethysm_degree_cap
     degree = pi.size * mu.size
-    if degree > degree_cap:
-        raise BudgetError(
-            f"plethysm degree {degree} exceeds cap {degree_cap}")
+    if degree > budgets.plethysm_degree_cap:
+        raise BudgetError(f"plethysm degree {degree} exceeds cap "
+                          f"{budgets.plethysm_degree_cap}")
     if not pi:
         return {Partition(): 1}
     N = degree

@@ -34,11 +34,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from operator import add
 
 from . import linalg
-from .config import DEFAULT, BudgetError
+from .config import DEFAULT, BudgetError, Budgets
 from .partitions import (Partition, Tableau, canonical_tableau, dim_weyl,
                          enumerate_ssyt)
 
@@ -258,16 +259,15 @@ class WeylModuleModel:
 
 
 def weyl_module(lam: Partition, n: int,
-                dim_cap: int | None = None) -> WeylModuleModel:
+                budgets: Budgets = DEFAULT) -> WeylModuleModel:
     """Construct the explicit model. Linear independence of the basis is
     computed, not assumed: every e_T must have a leading monomial with
-    coefficient 1, no two the same. The SSYT count must equal dim_weyl."""
+    coefficient 1, no two the same. The SSYT count must equal dim_weyl,
+    which is refused above ``weyl_dim_cap`` before any tableau is built."""
     lam = Partition(lam)
-    if dim_cap is None:
-        dim_cap = DEFAULT.weyl_dim_cap
     dim = dim_weyl(lam, n)
-    if dim > dim_cap:
-        raise BudgetError(f"dim {dim} exceeds cap {dim_cap}")
+    if dim > budgets.weyl_dim_cap:
+        raise BudgetError(f"dim {dim} exceeds cap {budgets.weyl_dim_cap}")
     tableaux = tuple(enumerate_ssyt(lam, n))
     if dim != len(tableaux):
         raise RuntimeError("tableau enumeration disagrees with dimension")
@@ -361,7 +361,7 @@ def fixed_subspace_dim(M: WeylModuleModel, perms, weight="any") -> int:
 
 
 def perm_stabilizer_invariants(gamma: Partition, n: int,
-                               dim_cap: int | None = None) -> int:
+                               budgets: Budgets = DEFAULT) -> int:
     """Multiplicity of permanent-stabilizer invariants in the SL_n x SL_n
     representation (trivial) (x) V_gamma, computed inside V_gamma(GL_n).
 
@@ -377,7 +377,7 @@ def perm_stabilizer_invariants(gamma: Partition, n: int,
         raise ValueError(f"|gamma| = {gamma.size} must equal 2n = {2 * n}")
     if len(gamma) > n:
         raise ValueError(f"length {len(gamma)} exceeds n = {n}")
-    M = weyl_module(gamma, n, dim_cap=dim_cap)
+    M = weyl_module(gamma, n, budgets)
     return fixed_subspace_dim(M, perm_generators(n), weight=(2,) * n)
 
 
@@ -385,13 +385,14 @@ def perm_stabilizer_invariants(gamma: Partition, n: int,
 # fixed spaces of operators on polynomials
 # ---------------------------------------------------------------------------
 
-def _torus_monomials(n: int, r: int) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=None)
+def _torus_monomials(n: int, r: int) -> tuple[tuple[int, ...], ...]:
     """Degree-nr monomials in the n x n matrix entries whose row and column
     degrees are all r, in lexicographically decreasing order: the monomials
     fixed by the torus of pairs of determinant-one diagonal matrices, and so
     exactly the weight-r magic squares, derived here from the torus condition
     rather than from the magic enumerator. A branch stops as soon as a
-    completed row misses r."""
+    completed row misses r. Cached: it depends on (n, r) alone."""
     nv = n * n
     out = []
 
@@ -412,9 +413,9 @@ def _torus_monomials(n: int, r: int) -> list[tuple[int, ...]]:
             prefix.pop()
 
     if nv == 1:
-        return [(n * r,)]
+        return ((n * r,),)
     rec(0, n * r, [])
-    return out
+    return tuple(out)
 
 
 def _shift(pairs):

@@ -12,6 +12,13 @@ def invoke(capsys, *argv):
     return code, json.loads(captured.out)
 
 
+def config(tmp_path, **budgets):
+    """A ``--config`` file with the given budget fields."""
+    path = tmp_path / "budgets.json"
+    path.write_text(json.dumps(budgets))
+    return str(path)
+
+
 class TestLR:
     def test_coeff(self, capsys):
         code, out = invoke(capsys, "lr", "coeff", "2,1", "2,1", "3,2,1")
@@ -96,6 +103,16 @@ class TestEhrhart:
         assert code == 0
         assert out["payload"]["values"] == [1, 2, 2, 3, 3, 4]
         assert out["payload"]["fit"]["period"] == 2
+
+    def test_max_degree_flag_zero_taken_as_given(self, capsys, tmp_path):
+        # the flag bypasses the config file's >= 1 check: degree 0 fits the
+        # constant series of the point {x = 0}
+        path = tmp_path / "point.json"
+        path.write_text(json.dumps({"A": [["1"], ["-1"]], "b": ["0", "0"]}))
+        code, out = invoke(capsys, "ehrhart", "--polytope", str(path),
+                           "--series", "5", "--fit", "--max-degree", "0")
+        assert code == 0
+        assert out["payload"]["fit"] == {"period": 1, "components": [["1"]]}
 
     @pytest.mark.parametrize("flag", ["--max-period", "--holdout"])
     def test_explicit_zero_fit_bound_refused(self, capsys, tmp_path, flag):
@@ -263,6 +280,58 @@ class TestTopLevel:
         assert code == 1
         assert out["payload"]["error"]["type"] == "ValueError"
         assert "hive_side_cap" in out["payload"]["error"]["message"]
+
+    @pytest.mark.parametrize("cap,value,argv", [
+        ("plethysm_degree_cap", 2, ("symfunc", "plethysm", "2", "2")),
+        ("weyl_dim_cap", 1, ("weyl", "invariants", "--gamma", "4", "--n", "2")),
+        ("char_table_max_n", 2, ("kron", "coeff", "2,1", "2,1", "2,1")),
+        ("hive_side_cap", 2, ("lr", "coeff", "2,1", "2,1", "3,2,1")),
+        ("magic_size_cap", 2, ("magic", "3", "1")),
+        ("magic_weight_cap", 1, ("magic", "3", "2")),
+    ])
+    def test_config_cap_refuses(self, capsys, tmp_path, cap, value, argv):
+        path = config(tmp_path, **{cap: value})
+        code, out = invoke(capsys, "--config", path, *argv)
+        assert code == 1
+        assert out["payload"]["error"]["type"] == "BudgetError"
+
+    def test_config_raised_hive_cap_reaches_the_memo(self, capsys, tmp_path):
+        # side 13 passes a cap of 13 and is not refused again when the
+        # reduced hive is built
+        path = config(tmp_path, hive_side_cap=13)
+        code, out = invoke(capsys, "--config", path, "lr", "positive",
+                           ",".join(["1"] * 13), "1", "2" + ",1" * 12)
+        assert code == 0 and out["payload"] == {"positive": True}
+
+    @pytest.mark.parametrize("argv", [("emit", "--max", "2", "--full"),
+                                      ("verify", "CERTS", "--full")])
+    def test_config_reaches_full_obstruction(self, capsys, tmp_path, argv):
+        certs = tmp_path / "certs.json"
+        certs.write_text(json.dumps([{"n": 2, "gamma": "4"}]))
+        argv = [str(certs) if a == "CERTS" else a for a in argv]
+        path = config(tmp_path, weyl_dim_cap=1)
+        code, out = invoke(capsys, "--config", path, "obstruct", *argv)
+        assert code == 1
+        assert out["payload"]["error"]["type"] == "BudgetError"
+
+    @pytest.mark.parametrize("key,cap,value", [
+        ("lr-oracle-triangle", "hive_side_cap", 2),
+        ("lr-saturation", "hive_side_cap", 2),
+        ("lr-stretch-quasipolynomial", "hive_side_cap", 2),
+        ("plethysm-oracle", "plethysm_degree_cap", 2),
+        ("kronecker-consistency", "char_table_max_n", 2),
+        ("even-partition-criterion", "weyl_dim_cap", 1),
+        ("magic-square-basis", "magic_weight_cap", 1),
+        ("strongly-explicit-family", "weyl_dim_cap", 1),
+    ])
+    def test_config_reaches_acceptance(self, capsys, tmp_path, key, cap,
+                                       value):
+        path = config(tmp_path, **{cap: value})
+        code, out = invoke(capsys, "--config", path, "accept", "--only", key)
+        assert code == 1
+        [result] = out["payload"]["results"]
+        assert not result["passed"]
+        assert result["detail"].startswith("BudgetError")
 
     def test_config_missing_file_refused(self, capsys, tmp_path):
         code, out = invoke(capsys, "--config", str(tmp_path / "absent.json"),

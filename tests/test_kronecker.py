@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 from itertools import permutations
 
 import pytest
 
 from weylbox import kronecker as kronecker_module
-from weylbox.config import BudgetError
+from weylbox.config import DEFAULT, BudgetError
 from weylbox.kronecker import (GStretchSeries, _character_row, _class_sizes,
                                class_size, det_stabilizer_invariant_mult,
                                g_stretch, kronecker, sym_character)
@@ -133,14 +134,17 @@ class TestKronecker:
         lam, mu, nu = P((15,)), P((14, 1)), P((13, 2))
         with pytest.raises(BudgetError, match="n=15 > 14"):
             kronecker(lam, mu, nu)
-        assert kronecker(lam, mu, nu, table_cap=15) == 0
+        raised = replace(DEFAULT, char_table_max_n=15)
+        assert kronecker(lam, mu, nu, raised) == 0
         with pytest.raises(BudgetError, match="n=6 > 5"):
-            det_stabilizer_invariant_mult(P((3, 3)), 2, table_cap=5)
+            det_stabilizer_invariant_mult(
+                P((3, 3)), 2, replace(DEFAULT, char_table_max_n=5))
 
     def test_cap_checked_before_cached_rows(self, monkeypatch):
         # (14,1) x (8,7) holds (8,6,1) once: remove a box, then add one
         lam, mu, nu = P((8, 7)), P((14, 1)), P((8, 6, 1))
-        assert kronecker(lam, mu, nu, table_cap=15) == 1
+        assert kronecker(lam, mu, nu,
+                         replace(DEFAULT, char_table_max_n=15)) == 1
         # the rows are cached now, and the default cap still refuses them
         with pytest.raises(BudgetError, match="n=15 > 14"):
             kronecker(lam, mu, nu)
@@ -199,4 +203,5 @@ class TestGStretch:
             g_stretch(P((2,)), 2, 8)
 
     def test_raised_cap_reaches_each_coefficient(self):
-        assert g_stretch(P((2,)), 2, 8, table_cap=16).values == (1,) * 8
+        raised = replace(DEFAULT, char_table_max_n=16)
+        assert g_stretch(P((2,)), 2, 8, raised).values == (1,) * 8

@@ -1,9 +1,10 @@
 import pytest
+from dataclasses import replace
 from fractions import Fraction as F
 from hypothesis import given, settings, strategies as st
 
 from weylbox import lr, polytope
-from weylbox.config import BudgetError
+from weylbox.config import DEFAULT, BudgetError
 from weylbox.lr import (LRQuery, OracleMismatchError, hive_polytope,
                         lr_coefficient, lr_positive, lr_stretch, _hive_rows,
                         _reduced_hive, _skew_lr_count)
@@ -12,6 +13,7 @@ from weylbox.polytope import _Reduced, count_integer_points
 from weylbox.symfunc import product_expand
 
 P = Partition
+TIGHT = replace(DEFAULT, hive_side_cap=2)
 
 
 def q(a, b, lam):
@@ -129,7 +131,7 @@ class TestHivePolytope:
 
     def test_side_cap(self):
         with pytest.raises(BudgetError, match="cap"):
-            hive_polytope(q((2, 1), (2, 1), (3, 2, 1)), side_cap=2)
+            hive_polytope(q((2, 1), (2, 1), (3, 2, 1)), budgets=TIGHT)
 
     def test_explicit_side(self):
         P4 = hive_polytope(q((1,), (1,), (2,)), side=4)
@@ -174,7 +176,7 @@ class TestHiveTemplate:
 
         monkeypatch.setattr(lr, "_hive_template", untouched)
         with pytest.raises(BudgetError, match="cap"):
-            hive_polytope(q((2, 1), (2, 1), (3, 2, 1)), side_cap=2)
+            hive_polytope(q((2, 1), (2, 1), (3, 2, 1)), budgets=TIGHT)
 
 
 class TestSharedReduction:
@@ -208,11 +210,11 @@ class TestSharedReduction:
     def test_cap_checked_on_a_cached_query(self, fresh_hives):
         assert lr_coefficient(self.QUERY) == 3
         with pytest.raises(BudgetError, match="cap"):
-            lr_coefficient(self.QUERY, side_cap=2)
+            lr_coefficient(self.QUERY, TIGHT)
         with pytest.raises(BudgetError, match="cap"):
-            lr_positive(self.QUERY, side_cap=2)
+            lr_positive(self.QUERY, TIGHT)
         with pytest.raises(BudgetError, match="cap"):
-            lr_stretch(self.QUERY, 5, side_cap=2)
+            lr_stretch(self.QUERY, 5, TIGHT)
 
     def test_tableau_rule_always_runs(self, monkeypatch, fresh_hives):
         monkeypatch.setattr(lr, "_skew_lr_count", lambda *args: 99)
@@ -240,7 +242,7 @@ class TestCoefficient:
 
         monkeypatch.setattr(lr, "_skew_lr_count", enumerated)
         with pytest.raises(BudgetError, match="cap"):
-            lr_coefficient(q((2, 1), (2, 1), (3, 2, 1)), side_cap=2)
+            lr_coefficient(q((2, 1), (2, 1), (3, 2, 1)), TIGHT)
 
     def test_side_two_zero(self):
         # a side-2 hive has no interior vertex: only its constant rows decide

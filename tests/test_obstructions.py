@@ -18,8 +18,7 @@ from weylbox.obstructions import (MagicSquare, ObstructionCertificate,
                                   emit_obstruction_family,
                                   enumerate_magic_squares,
                                   invariant_ring_dimension_check,
-                                  magic_orbit_representatives,
-                                  verify_obstruction)
+                                  magic_orbits, verify_obstruction)
 from weylbox.partitions import Partition
 from weylbox.weylmod import MultiPoly
 
@@ -116,7 +115,7 @@ class TestCanonicalForm:
         forms = [brute_canonical_form(sq) for sq in squares]
         assert [sq.canonical_form() for sq in squares] == forms
         assert orbits == len(set(forms))
-        assert [rep.entries for rep in magic_orbit_representatives(n, r)] == \
+        assert [rep.entries for rep in magic_orbits(n, r)[1]] == \
             sorted(set(forms))
 
     @pytest.mark.parametrize("seed", range(3))
@@ -169,19 +168,18 @@ class TestInvariantRingDimension:
         assert invariant_ring_dimension_check(n, r)
 
     def test_representative_count_weight_one(self):
-        assert len(magic_orbit_representatives(3, 1)) == 1
+        assert len(magic_orbits(3, 1)[1]) == 1
 
     def test_repeated_representative_raises(self, monkeypatch):
         # one orbit twice gives two p_A with the same support; the
         # disjoint-support check must catch it before the count comparison
-        real = obstructions.magic_orbit_representatives
+        real = obstructions.magic_orbits
 
-        def doubled(n, r, **caps):
-            reps = real(n, r, **caps)
-            return reps + reps[:1]
+        def doubled(*args):
+            squares, reps = real(*args)
+            return squares, reps + reps[:1]
 
-        monkeypatch.setattr(obstructions, "magic_orbit_representatives",
-                            doubled)
+        monkeypatch.setattr(obstructions, "magic_orbits", doubled)
         with pytest.raises(RuntimeError, match="share a monomial"):
             invariant_ring_dimension_check(3, 2)
 

@@ -61,7 +61,7 @@ class TestPartition:
 
     def test_size_length(self):
         lam = Partition((4, 2, 1))
-        assert lam.size == 7 and lam.length == 3
+        assert lam.size == 7 and len(lam) == 3
 
 
 class TestConjugate:

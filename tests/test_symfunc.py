@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -98,7 +99,8 @@ class TestPlethysm:
 
     def test_degree_cap(self):
         with pytest.raises(BudgetError, match="cap"):
-            plethysm_expand(P((3,)), P((3,)), degree_cap=8)
+            plethysm_expand(P((3,)), P((3,)),
+                            replace(DEFAULT, plethysm_degree_cap=8))
 
     def test_cap_checked_before_alphabet(self, monkeypatch):
         alphabets, schurs = _alphabet.cache_info(), schur.cache_info()
@@ -112,7 +114,8 @@ class TestPlethysm:
 
         monkeypatch.setattr(symfunc, "_alphabet", untouchable)
         with pytest.raises(BudgetError, match="degree 12 exceeds cap 11"):
-            plethysm_expand(P((2, 1, 1)), P((2, 1)), degree_cap=11)
+            plethysm_expand(P((2, 1, 1)), P((2, 1)),
+                            replace(DEFAULT, plethysm_degree_cap=11))
 
     def test_sym3_of_sym2(self):
         # classical: Sym^3(Sym^2) = S(6) + S(4,2) + S(2,2,2)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylbox import linalg, weylmod
-from weylbox.config import BudgetError
+from weylbox.config import DEFAULT, BudgetError
 from weylbox.partitions import (Partition, Tableau, dim_weyl, is_even,
                                 partitions_of, weak_compositions)
 from weylbox.weylmod import (MultiPoly, _monomial_kernel, _relabel, _shift,
@@ -141,7 +141,7 @@ class TestWeylModule:
 
     def test_budget(self):
         with pytest.raises(BudgetError):
-            weyl_module(P((2,)), 2, dim_cap=2)
+            weyl_module(P((2,)), 2, replace(DEFAULT, weyl_dim_cap=2))
 
     def test_dimension_matches_count(self):
         for lam in [P((2,)), P((2, 1)), P((3, 1))]:
@@ -724,7 +724,7 @@ class TestMonomialKernel:
 
         expected = [e for e in weak_compositions(n * r, (n * r,) * (n * n))
                     if constant_degrees(e)]
-        assert _torus_monomials(n, r) == expected
+        assert list(_torus_monomials(n, r)) == expected
 
 
 class TestKempf:
