@@ -141,6 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("accept", help="run the acceptance suite")
     p.add_argument("--only", default=None, metavar="KEY",
+                   choices=[key for key, _ in CRITERIA],
                    help="run a single criterion")
 
     return parser
@@ -279,35 +280,32 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets) -> dict:
             results.append({"criterion": res.key, "passed": res.passed,
                             "detail": res.detail,
                             "seconds": round(res.seconds, 3)})
-        payload = {"results": results,
-                   "all_passed": all(r["passed"] for r in results)}
-        return payload
+        return {"results": results,
+                "all_passed": all(r["passed"] for r in results)}
 
     raise ValueError(f"unhandled command {cmd}")  # pragma: no cover
 
 
 def run(argv: list[str]) -> int:
     argv = list(argv)
-    # `kron LAM MU NU` is sugar for `kron coeff LAM MU NU`
-    if argv and argv[0] == "kron" and len(argv) > 1 and \
-            argv[1] not in ("coeff", "det-invariant", "g-stretch", "-h", "--help"):
-        argv.insert(1, "coeff")
+    # `kron LAM MU NU` is sugar for `kron coeff LAM MU NU`, also after the
+    # global `--config PATH` or `--config=PATH`
+    i = 0
+    while argv[i:i + 1] and argv[i].startswith("--config"):
+        i += 1 if "=" in argv[i] else 2
+    if argv[i:i + 1] == ["kron"] and len(argv) > i + 1 and argv[i + 1] not in (
+            "coeff", "det-invariant", "g-stretch", "-h", "--help"):
+        argv.insert(i + 1, "coeff")
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
         budgets = Budgets.from_json(args.config) if args.config else DEFAULT
         payload = _dispatch(args, budgets)
-        ok = True
-        if args.command == "accept" and not payload["all_passed"]:
-            ok = False
+        ok = args.command != "accept" or payload["all_passed"]
     except (ValueError, RuntimeError, OSError) as exc:
-        error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        result = {"command": list(argv), "payload": error,
-                  "version": __version__,
-                  "wall_time_s": round(time.perf_counter() - started, 6)}
-        print(json.dumps(result, sort_keys=True))
-        return 1
+        payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+        ok = False
     result = {"command": list(argv), "payload": payload,
               "version": __version__,
               "wall_time_s": round(time.perf_counter() - started, 6)}

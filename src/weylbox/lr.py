@@ -28,7 +28,7 @@ from itertools import accumulate
 
 from .config import DEFAULT, BudgetError, Budgets
 from .partitions import Partition
-from .polytope import Polytope, QuasiPolynomial, _Reduced, fit_quasipolynomial
+from .polytope import ParamPolytope, QuasiPolynomial, _Reduced, fit_quasipolynomial
 
 
 class OracleMismatchError(RuntimeError):
@@ -149,7 +149,7 @@ def _hive_rows(q: LRQuery, side: int | None = None):
 
 
 def hive_polytope(q: LRQuery, side: int | None = None,
-                  budgets: Budgets = DEFAULT) -> Polytope:
+                  budgets: Budgets = DEFAULT) -> ParamPolytope:
     """The hive model for c^lam_{alpha,beta}, in interior coordinates.
 
     A hive of side n is a triangular array indexed by (i, j, k) with
@@ -169,7 +169,7 @@ def hive_polytope(q: LRQuery, side: int | None = None,
     The rows come from a per-side template (``_hive_template``), so a query
     only fills in its boundary partial sums; the side cap is checked first.
     """
-    return Polytope(*_hive_rows(q, _capped_side(q, side, budgets)))
+    return ParamPolytope(*_hive_rows(q, _capped_side(q, side, budgets)))
 
 
 def _skew_lr_count(alpha: Partition, beta: Partition, lam: Partition) -> int:

@@ -41,10 +41,6 @@ class MagicSquare:
         if len(sums) != 1:
             raise ValueError("row and column sums must all be equal")
 
-    @property
-    def weight(self) -> int:
-        return sum(self.entries[0])
-
     def canonical_form(self) -> tuple[tuple[int, ...], ...]:
         """Lexicographically minimal matrix in the row/column permutation
         orbit. For a fixed row order the least column order sorts the
@@ -182,7 +178,11 @@ class ObstructionCertificate:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "ObstructionCertificate":
+    def from_json(cls, data) -> "ObstructionCertificate":
+        if not (isinstance(data, dict) and isinstance(data.get("n"), int)
+                and isinstance(data.get("gamma"), str)
+                and isinstance(data.get("checks", {}), dict)):
+            raise ValueError('a certificate is an object {"n": int, "gamma": str}')
         checks = data.get("checks", {})
         return cls(int(data["n"]), Partition.parse(data["gamma"]),
                    ObstructionChecks(bool(checks.get("even", False)),
@@ -235,4 +235,6 @@ def verify_obstruction(cert: ObstructionCertificate, full: bool = False,
 def read_certificates(path: str) -> list[ObstructionCertificate]:
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, list):
+        raise ValueError("a certificate file holds a JSON list of certificates")
     return [ObstructionCertificate.from_json(d) for d in data]

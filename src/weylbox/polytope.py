@@ -2,15 +2,17 @@
 quasi-polynomial fitting of parametrized counting sequences.
 
 There is no floating point in this module. ``fractions.Fraction`` is the
-boundary type: inputs, ``Polytope``, ``ParamPolytope`` and
-``QuasiPolynomial`` data and returned values. Inside, every constraint is a
-primitive integer row and the inner loops run on Python integers: a family
-{x : Ax <= k*b + c} is reduced once for every k (``_Reduced``, which also
-takes integer rows as they are, as the LR hive does) and only its
-right-hand side is rescaled per k, linear programs go through one
-fraction-free simplex with Bland's rule, integer points are counted by a DFS
-over the reduced rows, and each residue class of a quasi-polynomial fit is
-interpolated over one common denominator. Answers are exact.
+boundary type: inputs, ``ParamPolytope`` and ``QuasiPolynomial`` data and
+returned values. One type holds every polyhedron: a family
+{x : Ax <= k*b + c}, whose c defaults to zero, and a single polytope is the
+family at k = 1. Inside, every constraint is a primitive integer row and the
+inner loops run on Python integers: a family is reduced once for every k
+(``_Reduced``, which also takes integer rows as they are, as the LR hive
+does) and only its right-hand side is rescaled per k, linear programs go
+through one fraction-free simplex with Bland's rule, integer points are
+counted by a DFS over the reduced rows, and each residue class of a
+quasi-polynomial fit is interpolated over one common denominator. Answers
+are exact.
 """
 
 from __future__ import annotations
@@ -46,63 +48,47 @@ def format_rational(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+def _rationals(values, what: str) -> tuple[Fraction, ...]:
+    """A JSON list of rationals, refused with ValueError in any other form."""
+    if not isinstance(values, list):
+        raise ValueError(f"polytope {what} must be a JSON list")
+    try:
+        return tuple(Fraction(x) for x in values)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"polytope {what}: {exc}") from None
+
+
 @dataclass(frozen=True)
-class Polytope:
-    """The set {x : Ax <= b} with exact rational data."""
+class ParamPolytope:
+    """The family {x : Ax <= k*b + c} indexed by integers k >= 0, with exact
+    rational data. c defaults to zero, which makes the family the dilations
+    of {x : Ax <= b}; a single polytope is the family at k = 1."""
 
     A: tuple[tuple[Fraction, ...], ...]
     b: tuple[Fraction, ...]
+    c: tuple[Fraction, ...] | None = None
 
     def __post_init__(self):
         A = tuple(tuple(_frac(x) for x in row) for row in self.A)
         b = tuple(_frac(x) for x in self.b)
-        if len(A) != len(b):
-            raise ValueError("A and b must have the same number of rows")
-        widths = {len(row) for row in A}
-        if len(widths) > 1:
+        c = (Fraction(0),) * len(b) if self.c is None else tuple(map(_frac, self.c))
+        if not (len(A) == len(b) == len(c)):
+            raise ValueError("A, b, c must have the same number of rows")
+        if len({len(row) for row in A}) > 1:
             raise ValueError("ragged constraint matrix")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
 
     @property
     def dim(self) -> int:
         return len(self.A[0]) if self.A else 0
 
-    def dilate(self, k: int) -> "Polytope":
-        return Polytope(self.A, tuple(k * v for v in self.b))
-
-    def to_json(self) -> dict:
-        return {"A": [[format_rational(x) for x in row] for row in self.A],
-                "b": [format_rational(x) for x in self.b]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Polytope":
-        return cls(tuple(tuple(Fraction(x) for x in row) for row in data["A"]),
-                   tuple(Fraction(x) for x in data["b"]))
-
-
-@dataclass(frozen=True)
-class ParamPolytope:
-    """A family of polytopes {x : Ax <= k*b + c} indexed by integers k >= 0."""
-
-    A: tuple[tuple[Fraction, ...], ...]
-    b: tuple[Fraction, ...]
-    c: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        A = tuple(tuple(_frac(x) for x in row) for row in self.A)
-        b = tuple(_frac(x) for x in self.b)
-        c = tuple(_frac(x) for x in self.c)
-        if not (len(A) == len(b) == len(c)):
-            raise ValueError("A, b, c must have the same number of rows")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-
-    def at(self, k: int) -> Polytope:
+    def at(self, k: int) -> "ParamPolytope":
+        """The member P(k) = {x : Ax <= k*b + c}, as a family with c = 0."""
         if k < 0:
             raise ValueError("parameter k must be nonnegative")
-        return Polytope(self.A, tuple(k * bv + cv for bv, cv in zip(self.b, self.c)))
+        return ParamPolytope(self.A, tuple(k * v + w for v, w in zip(self.b, self.c)))
 
     def to_json(self) -> dict:
         data = {"A": [[format_rational(x) for x in row] for row in self.A],
@@ -112,14 +98,14 @@ class ParamPolytope:
         return data
 
     @classmethod
-    def from_json(cls, data: dict) -> "ParamPolytope":
-        A = tuple(tuple(Fraction(x) for x in row) for row in data["A"])
-        b = tuple(Fraction(x) for x in data["b"])
-        if "c" in data:
-            c = tuple(Fraction(x) for x in data["c"])
-        else:
-            c = tuple(Fraction(0) for _ in b)
-        return cls(A, b, c)
+    def from_json(cls, data) -> "ParamPolytope":
+        """{"A": rows, "b": list, "c": optional list}; else a ValueError."""
+        if not (isinstance(data, dict) and isinstance(data.get("A"), list)
+                and "b" in data):
+            raise ValueError('a polytope is a JSON object with "A" rows and "b"')
+        return cls(tuple(_rationals(row, "A row") for row in data["A"]),
+                   _rationals(data["b"], "b"),
+                   _rationals(data["c"], "c") if "c" in data else None)
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +227,9 @@ def _simplex(A, b, c) -> tuple[str, Fraction | None]:
     return "optimal", Fraction(-z[-1], D * cden)
 
 
-def feasible(P: Polytope) -> bool:
-    """Exact emptiness test for {x : Ax <= b} (``_Reduced.feasible``)."""
-    return _Reduced(P.A, P.b).feasible(1)
+def feasible(P: ParamPolytope) -> bool:
+    """Exact emptiness test for P at k = 1 (``_Reduced.feasible``)."""
+    return _Reduced(P.A, P.b, P.c).feasible(1)
 
 
 def _coordinate_bounds(A, b, n: int, i: int) -> tuple[Fraction, Fraction]:
@@ -529,11 +515,11 @@ class _Reduced:
         return tuple(out)
 
 
-def count_integer_points(P: Polytope) -> int:
-    """Exact |P ∩ Z^n| for a bounded P (``_Reduced.count`` at k = 1).
+def count_integer_points(P: ParamPolytope) -> int:
+    """Exact |P(1) ∩ Z^n| for a bounded P(1) (``_Reduced.count`` at k = 1).
     Raises UnboundedPolytopeError when some coordinate has no finite
     range."""
-    return _Reduced(P.A, P.b).count(1)
+    return _Reduced(P.A, P.b, P.c).count(1)
 
 
 def ehrhart_counts(PP: ParamPolytope, K: int) -> tuple[int, ...]:

@@ -56,32 +56,11 @@ class SymPoly:
             clean[key] = coeff
         object.__setattr__(self, "terms", clean)
 
-    @property
-    def degree(self) -> int | None:
-        """Homogeneous degree, or None for the zero polynomial."""
-        sizes = {k.size for k in self.terms}
-        if not sizes:
-            return None
-        if len(sizes) > 1:
-            raise NonHomogeneousError(f"mixed degrees {sorted(sizes)}")
-        return sizes.pop()
-
     def is_homogeneous(self) -> bool:
         return len({k.size for k in self.terms}) <= 1
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __add__(self, other: "SymPoly") -> "SymPoly":
-        if self.num_vars != other.num_vars:
-            raise ValueError("variable counts differ")
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            terms[k] = terms.get(k, 0) + c
-        return SymPoly(self.num_vars, terms)
-
-    def scale(self, c) -> "SymPoly":
-        return SymPoly(self.num_vars, {k: c * v for k, v in self.terms.items()})
 
     def __mul__(self, other: "SymPoly") -> "SymPoly":
         """Product in the m basis, computed only at dominant monomials:

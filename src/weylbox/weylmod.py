@@ -41,7 +41,7 @@ from operator import add
 from . import linalg
 from .config import DEFAULT, BudgetError, Budgets
 from .partitions import (Partition, Tableau, canonical_tableau, dim_weyl,
-                         enumerate_ssyt)
+                         enumerate_ssyt, weak_compositions)
 
 
 class MultiPoly:
@@ -145,27 +145,6 @@ def minor(n: int, rows: list[int], cols: list[int]) -> MultiPoly:
     return MultiPoly(nv, out)
 
 
-def _int_minor(G: list[list[int]], rows: tuple[int, ...],
-               cols: tuple[int, ...], memo: dict) -> int:
-    """det G[rows, cols] by Laplace expansion along the last column, with
-    every smaller minor kept in memo."""
-    if not cols:
-        return 1
-    key = (rows, cols)
-    value = memo.get(key)
-    if value is None:
-        last, rest = cols[-1], cols[:-1]
-        value = 0
-        top = len(rows) - 1
-        for k, r in enumerate(rows):
-            if G[r][last]:
-                term = G[r][last] * _int_minor(G, rows[:k] + rows[k + 1:],
-                                               rest, memo)
-                value += -term if (top - k) % 2 else term
-        memo[key] = value
-    return value
-
-
 def _column_minor_products(n: int, tableaux,
                            G: list[list[int]] | None = None) -> list[MultiPoly]:
     """e_T(Z G) for each tableau T, with G an integer matrix (None for the
@@ -173,13 +152,13 @@ def _column_minor_products(n: int, tableaux,
 
     The factor of a column c is the minor of Z G on the first len(c) rows
     and the columns c, which Cauchy-Binet writes as
-    sum_S det Z[rows, S] det G[S, c] over the len(c)-subsets S. Distinct S
-    give disjoint monomials, so the factor is built without cancellation.
-    Each distinct column set is expanded once and shared by every tableau.
+    sum_S det Z[rows, S] det G[S, c] over the len(c)-subsets S, each
+    det G[S, c] an integer from ``linalg.det``. Distinct S give disjoint
+    monomials, so the factor is built without cancellation. Each distinct
+    column set is expanded once and shared by every tableau.
     """
     nv = n * n
     z_minors: dict[tuple[int, ...], MultiPoly] = {}
-    g_minors: dict = {}
     factors: dict[tuple[int, ...], MultiPoly] = {}
 
     def z_minor(cols: tuple[int, ...]) -> MultiPoly:
@@ -192,7 +171,7 @@ def _column_minor_products(n: int, tableaux,
             return z_minor(cols)
         terms = {}
         for S in itertools.combinations(range(n), len(cols)):
-            d = _int_minor(G, S, cols, g_minors)
+            d = int(linalg.det([[G[r][c] for c in cols] for r in S]))
             if d:
                 for e, c in z_minor(S).terms.items():
                     terms[e] = d * c
@@ -390,32 +369,12 @@ def _torus_monomials(n: int, r: int) -> tuple[tuple[int, ...], ...]:
     """Degree-nr monomials in the n x n matrix entries whose row and column
     degrees are all r, in lexicographically decreasing order: the monomials
     fixed by the torus of pairs of determinant-one diagonal matrices, and so
-    exactly the weight-r magic squares, derived here from the torus condition
-    rather than from the magic enumerator. A branch stops as soon as a
-    completed row misses r. Cached: it depends on (n, r) alone."""
-    nv = n * n
-    out = []
-
-    def rec(pos: int, remaining: int, prefix: list[int]):
-        if pos == nv - 1:
-            prefix.append(remaining)
-            expo = tuple(prefix)
-            rows = [sum(expo[i * n:(i + 1) * n]) for i in range(n)]
-            cols = [sum(expo[i * n + j] for i in range(n)) for j in range(n)]
-            if len(set(rows)) == 1 and len(set(cols)) == 1:
-                out.append(expo)
-            prefix.pop()
-            return
-        for v in range(remaining, -1, -1):
-            prefix.append(v)
-            if (pos + 1) % n or sum(prefix[pos + 1 - n:]) == r:
-                rec(pos + 1, remaining - v, prefix)
-            prefix.pop()
-
-    if nv == 1:
-        return ((n * r,),)
-    rec(0, n * r, [])
-    return tuple(out)
+    exactly the weight-r magic squares, found without the magic enumerator:
+    each row is a weak composition of r into n parts, and a product of n
+    rows is kept when every column sums to r. Cached by (n, r)."""
+    rows = list(weak_compositions(r, (r,) * n))
+    return tuple(sum(square, ()) for square in itertools.product(rows, repeat=n)
+                 if all(sum(col) == r for col in zip(*square)))
 
 
 def _shift(pairs):
@@ -486,14 +445,9 @@ def det_polynomial(m: int) -> MultiPoly:
 
 
 def perm_polynomial(m: int) -> MultiPoly:
-    nv = m * m
-    terms = {}
-    for perm in itertools.permutations(range(m)):
-        expo = [0] * nv
-        for i in range(m):
-            expo[_var(m, i, perm[i])] += 1
-        terms[tuple(expo)] = 1
-    return MultiPoly(nv, terms)
+    """The permanent: det's monomials, each with coefficient 1. Exact, as
+    every permutation gives a different monomial."""
+    return MultiPoly(m * m, dict.fromkeys(det_polynomial(m).terms, 1))
 
 
 def symmetry_characterization_space(kind: str, size: int) -> tuple[int, list[MultiPoly]]:

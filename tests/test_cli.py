@@ -124,11 +124,42 @@ class TestEhrhart:
         assert code == 1
         assert out["payload"]["error"]["type"] == "ValueError"
 
+    def test_ragged_series_refused(self, capsys, tmp_path):
+        path = tmp_path / "ragged.json"
+        path.write_text(json.dumps({"A": [["1", "0"], ["-1"]], "b": ["1", "0"]}))
+        code, out = invoke(capsys, "ehrhart", "--polytope", str(path),
+                           "--series", "3")
+        assert code == 1
+        assert out["payload"]["error"] == {"type": "ValueError",
+                                           "message": "ragged constraint matrix"}
+
+    @pytest.mark.parametrize("data", [
+        [{"A": [["1"]], "b": ["1"]}],
+        {"b": ["1"]},
+        {"A": [["1"]], "c": ["0"]},
+        {"A": [["1"], -1], "b": ["1", "0"]},
+        {"A": [["1"]], "b": "1"},
+        {"A": [["1"], ["-1"]], "b": ["1", "0"], "c": "00"}])
+    @pytest.mark.parametrize("query", [("--k", "1"), ("--series", "2")])
+    def test_malformed_file_refused(self, capsys, tmp_path, data, query):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out = invoke(capsys, "ehrhart", "--polytope", str(path), *query)
+        assert code == 1
+        assert out["payload"]["error"]["type"] == "ValueError"
+
 
 class TestKron:
     def test_plain_form(self, capsys):
         code, out = invoke(capsys, "kron", "2,1", "2,1", "2,1")
         assert code == 0 and out["payload"]["kronecker"] == 1
+
+    @pytest.mark.parametrize("joined", [False, True])
+    def test_plain_form_after_config(self, capsys, tmp_path, joined):
+        path = config(tmp_path)
+        opts = [f"--config={path}"] if joined else ["--config", path]
+        code, out = invoke(capsys, *opts, "kron", "2,1", "2,1", "2,1")
+        assert code == 0 and out["payload"] == {"kronecker": 1}
 
     def test_det_invariant(self, capsys):
         code, out = invoke(capsys, "kron", "det-invariant", "2", "--m", "2")
@@ -251,6 +282,24 @@ class TestTopLevel:
         code, out = invoke(capsys, "obstruct", "verify", str(path), *flags)
         assert code == 0
         assert out["payload"]["certificates"][0]["checks"]["invariant_dim"] is None
+
+    @pytest.mark.parametrize("data", [
+        {"n": 2, "gamma": "4"},
+        ["4"],
+        [{"gamma": "4"}],
+        [{"n": 2}],
+        [{"n": 2, "gamma": 4}]])
+    def test_obstruct_verify_malformed_file_refused(self, capsys, tmp_path, data):
+        path = tmp_path / "certs.json"
+        path.write_text(json.dumps(data))
+        code, out = invoke(capsys, "obstruct", "verify", str(path))
+        assert code == 1
+        assert out["payload"]["error"]["type"] == "ValueError"
+
+    def test_accept_unknown_criterion_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["accept", "--only", "no-such-criterion"])
+        assert exc.value.code == 2
 
     def test_unknown_subcommand_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

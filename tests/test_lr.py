@@ -106,7 +106,7 @@ class TestHivePolytope:
         base = hive_polytope(q((2, 1), (2, 1), (3, 2, 1)))
         scaled = hive_polytope(q((2, 1), (2, 1), (3, 2, 1)).scale(3))
         assert scaled.A == base.A
-        assert scaled.b == base.dilate(3).b
+        assert scaled.b == base.at(3).b
 
     def test_empty_query(self):
         assert count_integer_points(hive_polytope(q((), (), ()))) == 1
@@ -119,7 +119,7 @@ class TestHivePolytope:
             base = hive_polytope(query)
             scaled = hive_polytope(query.scale(k))
             assert scaled.A == base.A, query
-            assert scaled.b == base.dilate(k).b, query
+            assert scaled.b == base.at(k).b, query
 
     def test_pairs_to_fixpoint(self):
         # substituting the first round's equalities makes one more +- pair,

@@ -12,7 +12,7 @@ from weylbox.linalg import det, solve_columns
 from weylbox.lr import LRQuery, lr_stretch
 from weylbox.partitions import Partition
 from weylbox.polytope import (FitError, InfeasibleError, ParamPolytope,
-                              Polytope, QuasiPolynomial,
+                              QuasiPolynomial,
                               UnboundedPolytopeError, _coordinate_bounds,
                               _Reduced, _simplex, count_integer_points,
                               ehrhart_counts, feasible, fit_quasipolynomial)
@@ -29,7 +29,7 @@ def box(n, hi=1):
         row[i] = F(-1)
         A.append(tuple(row))
         b.append(F(0))
-    return Polytope(tuple(A), tuple(b))
+    return ParamPolytope(tuple(A), tuple(b))
 
 
 def contains(P, point):
@@ -43,8 +43,8 @@ def inverse(M):
                              for i in range(n)])
 
 
-TRIANGLE = Polytope(((F(-1), F(0)), (F(0), F(-1)), (F(1), F(1))),
-                    (F(0), F(0), F(1, 2)))
+TRIANGLE = ParamPolytope(((F(-1), F(0)), (F(0), F(-1)), (F(1), F(1))),
+                         (F(0), F(0), F(1, 2)))
 
 
 def brute_force_count(P, lo=-10, hi=10):
@@ -56,13 +56,13 @@ def brute_force_count(P, lo=-10, hi=10):
 
 class TestFeasible:
     def test_contradictory(self):
-        assert not feasible(Polytope(((F(1),), (F(-1),)), (F(-1), F(0))))
+        assert not feasible(ParamPolytope(((F(1),), (F(-1),)), (F(-1), F(0))))
 
     def test_unit_interval(self):
-        assert feasible(Polytope(((F(1),), (F(-1),)), (F(1), F(0))))
+        assert feasible(ParamPolytope(((F(1),), (F(-1),)), (F(1), F(0))))
 
     def test_empty_system(self):
-        assert feasible(Polytope((), ()))
+        assert feasible(ParamPolytope((), ()))
 
 
 class TestCount:
@@ -70,38 +70,38 @@ class TestCount:
         assert count_integer_points(box(2)) == 4
 
     def test_dilated_square(self):
-        assert count_integer_points(box(2).dilate(3)) == 16
+        assert count_integer_points(box(2).at(3)) == 16
 
     def test_dilated_simplex(self):
-        P = Polytope(((F(1), F(1)), (F(-1), F(0)), (F(0), F(-1))),
-                     (F(2), F(0), F(0)))
+        P = ParamPolytope(((F(1), F(1)), (F(-1), F(0)), (F(0), F(-1))),
+                          (F(2), F(0), F(0)))
         assert count_integer_points(P) == 6
         assert count_integer_points(P) == brute_force_count(P)
 
     def test_unbounded_errors(self):
         with pytest.raises(UnboundedPolytopeError, match="unbounded polytope"):
-            count_integer_points(Polytope(((F(-1),),), (F(0),)))
+            count_integer_points(ParamPolytope(((F(-1),),), (F(0),)))
 
     def test_infeasible_is_zero(self):
         assert count_integer_points(
-            Polytope(((F(1),), (F(-1),)), (F(-1), F(0)))) == 0
+            ParamPolytope(((F(1),), (F(-1),)), (F(-1), F(0)))) == 0
 
     def test_zero_dimensional_rows(self):
         # with no variables left, a row reads 0 <= rhs
-        assert count_integer_points(Polytope(((),), (F(0),))) == 1
-        empty = Polytope(((),), (F(-1),))
+        assert count_integer_points(ParamPolytope(((),), (F(0),))) == 1
+        empty = ParamPolytope(((),), (F(-1),))
         assert not feasible(empty)
         assert count_integer_points(empty) == 0
 
     def test_fractional_point(self):
-        P = Polytope(((F(1),), (F(-1),)), (F(1, 3), F(-1, 3)))
+        P = ParamPolytope(((F(1),), (F(-1),)), (F(1, 3), F(-1, 3)))
         assert count_integer_points(P) == 0
-        assert count_integer_points(P.dilate(3)) == 1
+        assert count_integer_points(P.at(3)) == 1
 
     def test_dilation_identity_cubes(self):
         for n in (1, 2, 3):
             for k in range(1, 6):
-                assert count_integer_points(box(n).dilate(k)) == (k + 1) ** n
+                assert count_integer_points(box(n).at(k)) == (k + 1) ** n
 
     def test_matches_brute_force_fractional(self):
         assert count_integer_points(TRIANGLE) == brute_force_count(TRIANGLE)
@@ -163,7 +163,7 @@ def bounded_polytopes(draw):
         row, rhs = draw(rows), draw(rationals)
         A.extend([tuple(F(a) for a in row), tuple(F(-a) for a in row)])
         b.extend([rhs, -rhs])
-    return Polytope(tuple(A), tuple(b))
+    return ParamPolytope(tuple(A), tuple(b))
 
 
 class TestKernelsAgainstBruteForce:
@@ -211,7 +211,7 @@ class TestVertex:
         assert lex_min_vertex(box(2)) == (F(0), F(0))
 
     def test_single_point(self):
-        P = Polytope(((F(1),), (F(-1),)), (F(1, 3), F(-1, 3)))
+        P = ParamPolytope(((F(1),), (F(-1),)), (F(1, 3), F(-1, 3)))
         assert lex_min_vertex(P) == (F(1, 3),)
 
     def test_triangle_against_enumeration(self):
@@ -230,12 +230,12 @@ class TestVertex:
 
     def test_infeasible(self):
         with pytest.raises(InfeasibleError):
-            lex_min_vertex(Polytope(((F(1),), (F(-1),)), (F(-1), F(0))))
+            lex_min_vertex(ParamPolytope(((F(1),), (F(-1),)), (F(-1), F(0))))
 
     def test_not_pointed(self):
         # slab 0 <= x <= 1 in the plane has a lineality direction
         assert lex_min_vertex(
-            Polytope(((F(1), F(0)), (F(-1), F(0))), (F(1), F(0)))) is None
+            ParamPolytope(((F(1), F(0)), (F(-1), F(0))), (F(1), F(0)))) is None
 
     def test_vertex_satisfies_constraints(self):
         v = lex_min_vertex(TRIANGLE)
@@ -270,29 +270,29 @@ class TestEhrhart:
 class TestReduction:
     def test_scalar_multiple_pair(self):
         # 2x <= 2 and -x <= -1 are one equality x = 1 once rows are primitive
-        P = Polytope(((F(2),), (F(-1),)), (F(2), F(-1)))
+        P = ParamPolytope(((F(2),), (F(-1),)), (F(2), F(-1)))
         red = _Reduced(P.A, P.b)
         assert red.free == [] and red.A == []
         assert count_integer_points(P) == 1
 
     def test_pair_made_by_substitution(self):
         # x = 1 turns x + y <= 3 into y <= 2, the partner of -y <= -2
-        P = Polytope(((F(1), F(0)), (F(-1), F(0)), (F(1), F(1)), (F(0), F(-1))),
-                     (F(1), F(-1), F(3), F(-2)))
+        P = ParamPolytope(((F(1), F(0)), (F(-1), F(0)), (F(1), F(1)), (F(0), F(-1))),
+                          (F(1), F(-1), F(3), F(-2)))
         assert _Reduced(P.A, P.b).free == []
         assert count_integer_points(P) == 1
 
     def test_every_row_an_equality(self):
         # y is left with no row at all: unbounded, not a crash
-        P = Polytope(((F(1), F(0)), (F(-1), F(0))), (F(1), F(-1)))
+        P = ParamPolytope(((F(1), F(0)), (F(-1), F(0))), (F(1), F(-1)))
         with pytest.raises(UnboundedPolytopeError, match="unbounded polytope"):
             count_integer_points(P)
         assert feasible(P)
 
     def test_inconsistent_equalities(self):
         # x = 1 and x = 2 as two pairs
-        P = Polytope(((F(1),), (F(-1),), (F(2),), (F(-2),)),
-                     (F(1), F(-1), F(4), F(-4)))
+        P = ParamPolytope(((F(1),), (F(-1),), (F(2),), (F(-2),)),
+                          (F(1), F(-1), F(4), F(-4)))
         assert not feasible(P)
         assert count_integer_points(P) == 0
 
@@ -417,6 +417,27 @@ class TestFamilyCounts:
             assert expected[0] == sum(1 for pt in product(*ranges) if contains(P, pt))
 
 
+    @given(families())
+    @settings(max_examples=150, deadline=None)
+    def test_single_polytope_reads_c(self, pp):
+        # feasible and count_integer_points take pp at k = 1, c included,
+        # as ehrhart_counts and pp.at(1) do
+        assert feasible(pp) == feasible(pp.at(1))
+        try:
+            expected = ehrhart_counts(pp, 1)[0]
+        except UnboundedPolytopeError:
+            with pytest.raises(UnboundedPolytopeError):
+                count_integer_points(pp)
+            return
+        assert count_integer_points(pp) == expected == count_integer_points(pp.at(1))
+
+    def test_offset_c_single_polytope(self):
+        # x <= 1/2 + c_0, x >= 0: c = 1 adds a point, c = -1 empties it
+        A, b = ((F(1),), (F(-1),)), (F(1, 2), F(0))
+        assert count_integer_points(ParamPolytope(A, b, (F(1), F(0)))) == 2
+        empty = ParamPolytope(A, b, (F(-1), F(0)))
+        assert not feasible(empty) and count_integer_points(empty) == 0
+
 class TestFit:
     def test_polynomial(self):
         qp = fit_quasipolynomial([(k + 1) ** 2 for k in range(1, 9)], 4, 6, 2)
@@ -534,7 +555,23 @@ class TestSerialization:
     def test_polytope_roundtrip(self):
         data = TRIANGLE.to_json()
         assert data["b"] == ["0", "0", "1/2"]
-        assert Polytope.from_json(json.loads(json.dumps(data))) == TRIANGLE
+        assert ParamPolytope.from_json(json.loads(json.dumps(data))) == TRIANGLE
+
+    def test_ragged_matrix_refused(self):
+        with pytest.raises(ValueError, match="ragged constraint matrix"):
+            ParamPolytope(((F(1), F(0)), (F(-1),)), (F(1), F(0)))
+
+    @pytest.mark.parametrize("data", [
+        [["1"]],
+        {"b": ["1"]},
+        {"A": [["1"]]},
+        {"A": ["1"], "b": ["1"]},
+        {"A": [["1"]], "b": "1"},
+        {"A": [["1"], ["-1"]], "b": ["1", "0"], "c": "00"},
+        {"A": [[None]], "b": ["1"]}])
+    def test_malformed_json_refused(self, data):
+        with pytest.raises(ValueError):
+            ParamPolytope.from_json(data)
 
     def test_param_polytope_optional_c(self):
         pp = ParamPolytope.from_json({"A": [["1"], ["-1"]], "b": ["1/2", "0"]})

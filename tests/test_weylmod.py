@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction as F
@@ -527,6 +528,17 @@ class TestSymmetryCharacterization:
         anchor, coeff = next(iter(target.terms.items()))
         scale = F(vec.terms.get(anchor, 0)) / F(coeff)
         assert scale != 0 and vec == target.scale(scale)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_perm_polynomial_matches_permutation_loop(self, m):
+        # reference: one monomial prod z_{i, s(i)} per permutation s of m
+        terms = {}
+        for perm in itertools.permutations(range(m)):
+            expo = [0] * (m * m)
+            for i in range(m):
+                expo[i * m + perm[i]] += 1
+            terms[tuple(expo)] = 1
+        assert perm_polynomial(m) == MultiPoly(m * m, terms)
 
     def test_det_line_is_det(self):
         dim, basis = symmetry_characterization_space("det", 2)
