@@ -1,9 +1,13 @@
 """Exact rational linear algebra.
 
-Gaussian elimination with partial pivoting on the magnitude of a canonical
-integer lift: every row is rescaled to a primitive integer vector before it
-is used as a pivot, which keeps intermediate entries small without leaving
-exact arithmetic. No floating point anywhere.
+One echelon routine, sparse and online: every row is scaled to a primitive
+integer row over its nonzeros ({col: int}), rows equal up to sign are taken
+once, and each new row is reduced against the pivot rows found so far on
+the columns where it is nonzero only. What is left becomes a pivot row at
+its least column, with a positive pivot, and that column is cleared from
+the other pivot rows, so the pivot rows stay in reduced form throughout.
+Determinants use Bareiss' fraction-free elimination (Math. Comp. 22, 1968),
+whose every division is exact. No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -26,49 +30,88 @@ def _primitive_int_row(row) -> list[int]:
     return ints
 
 
-def echelon(rows, ncols: int) -> tuple[list[list[int]], list[int]]:
-    """Row echelon form over the integers (primitive rows), with pivot columns.
+def _sparse_row(row) -> dict[int, int]:
+    """A dense row or a {col: value} row as a primitive integer {col: int}
+    over its nonzeros, its least column positive (empty for a zero row)."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    r = {j: +v for j, v in items if v}  # unary plus makes a bool an int
+    if not r:
+        return r
+    try:
+        g = gcd(*r.values())
+    except TypeError:  # Fractions: clear the denominators first
+        den = lcm(*(v.denominator for v in r.values()))
+        r = {j: v.numerator * (den // v.denominator) for j, v in r.items()}
+        g = gcd(*r.values())
+    if r[min(r)] < 0:
+        g = -g
+    return r if g == 1 else {j: v // g for j, v in r.items()}
 
-    Returns (reduced_rows, pivot_cols); reduced_rows[i] has its pivot in
-    pivot_cols[i] and zeros in every other pivot column.
+
+def _eliminate(r: dict[int, int], prow: dict[int, int], col: int) -> dict[int, int]:
+    """p * r - r[col] * prow over the lowest terms of p = prow[col] > 0 and
+    r[col], which clears col from r; not made primitive, and r itself is
+    updated when p is 1."""
+    p, a = prow[col], r[col]
+    if p != 1:
+        g = gcd(p, a)
+        p, a = p // g, a // g
+        r = {j: p * v for j, v in r.items()}
+    for j, v in prow.items():
+        w = r.get(j, 0) - a * v
+        if w:
+            r[j] = w
+        else:
+            del r[j]
+    return r
+
+
+def _primitive(r: dict[int, int]) -> dict[int, int]:
+    """r divided by the gcd of its values; the signs are kept."""
+    g = gcd(*r.values())
+    return r if g == 1 else {j: v // g for j, v in r.items()}
+
+
+def echelon(rows, ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form over the integers, with pivot columns.
+
+    rows are dense sequences (ints, bools, Fractions) or {col: value} dicts.
+    Returns (reduced_rows, pivot_cols) with pivot_cols increasing;
+    reduced_rows[i] is a dense primitive integer row with a positive pivot
+    in pivot_cols[i] and zeros in every other pivot column. Rows already in
+    that form (pivot rows of an earlier call) insert without elimination.
     """
-    work = [_primitive_int_row(r) for r in rows]
-    work = [r for r in work if any(r)]
-    reduced: list[list[int]] = []
-    pivots: list[int] = []
-    for col in range(ncols):
-        best = None
-        for i, r in enumerate(work):
-            if r[col] != 0 and (best is None or abs(r[col]) < abs(work[best][col])):
-                best = i
-        if best is None:
+    pivot_rows: dict[int, dict[int, int]] = {}
+    seen = set()
+    for row in rows:
+        r = _sparse_row(row)
+        if not r:
             continue
-        pivot_row = work.pop(best)
-        p = pivot_row[col]
-        nxt = []
-        for r in work:
-            if r[col] != 0:
-                f1, f2 = p, r[col]
-                r = [f1 * a - f2 * b for a, b in zip(r, pivot_row)]
-                g = gcd(*r)
-                if g > 1:
-                    r = [v // g for v in r]
-            if any(r):
-                nxt.append(r)
-        work = nxt
-        # clear this column from earlier pivot rows (back substitution)
-        for i, r in enumerate(reduced):
-            if r[col] != 0:
-                f1, f2 = p, r[col]
-                r = [f1 * a - f2 * b for a, b in zip(r, pivot_row)]
-                g = gcd(*r)
-                if g > 1:
-                    r = [v // g for v in r]
-                reduced[i] = r
-        reduced.append(pivot_row)
-        pivots.append(col)
-        if not work:
+        key = frozenset(r.items())
+        if key in seen:
+            continue
+        seen.add(key)
+        hits = pivot_rows.keys() & r.keys()
+        if hits:
+            for col in hits:
+                r = _eliminate(r, pivot_rows[col], col)
+            if not r:
+                continue
+            r = _sparse_row(r)
+        lead = min(r)
+        for pc, prow in pivot_rows.items():
+            if lead in prow:
+                pivot_rows[pc] = _primitive(_eliminate(prow, r, lead))
+        pivot_rows[lead] = r
+        if len(pivot_rows) == ncols:
             break
+    pivots = sorted(pivot_rows)
+    reduced = []
+    for pc in pivots:
+        row = [0] * ncols
+        for j, v in pivot_rows[pc].items():
+            row[j] = v
+        reduced.append(row)
     return reduced, pivots
 
 
@@ -117,27 +160,34 @@ def solve_columns(A_rows, B_rows) -> list[list[Fraction]]:
 
 
 def det(A) -> Fraction:
-    """Determinant by fraction-free elimination."""
-    n = len(A)
-    rows = [[Fraction(x) for x in r] for r in A]
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if rows[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
+    """Determinant by Bareiss' fraction-free elimination: step k replaces
+    every entry below and right of the pivot by the 2 x 2 minor with the
+    pivot divided by the previous pivot, a division that is always exact,
+    so integer input stays integer. Each row of Fractions is first scaled by
+    the lcm of its denominators, which the result divides back out."""
+    rows, scale = [], 1
+    for r in A:
+        if all(type(x) is int for x in r):
+            rows.append(list(r))
+        else:
+            den = lcm(*(x.denominator for x in r))
+            rows.append([x.numerator * (den // x.denominator) for x in r])
+            scale *= den
+    n = len(rows)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if rows[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if rows[i][k]), None)
+            if swap is None:
+                return Fraction(0)
+            rows[k], rows[swap] = rows[swap], rows[k]
             sign = -sign
-        p = rows[col][col]
-        result *= p
-        for i in range(col + 1, n):
-            f = rows[i][col] / p
-            if f:
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
-    return sign * result
-
+        pivot_row = rows[k]
+        p = pivot_row[k]
+        for i in range(k + 1, n):
+            row = rows[i]
+            f = row[k]
+            rows[i] = [0] * (k + 1) + [(p * row[j] - f * pivot_row[j]) // prev
+                                       for j in range(k + 1, n)]
+        prev = p
+    return Fraction(sign * rows[-1][-1] if n else 1, scale)

@@ -235,8 +235,11 @@ def dim_weyl(lam: Partition, n: int) -> int:
     """Dimension of the irreducible polynomial GL_n representation labelled
     by lam, by the hook-content formula prod (n + c - r) / hook(r, c) over
     the cells (Stanley, EC2 Cor. 7.21.4). It counts the semistandard
-    tableaux of shape lam over 1..n; ``count_ssyt`` is its test oracle."""
+    tableaux of shape lam over 1..n; ``count_ssyt`` is its test oracle.
+    Raises ValueError for n < 0; n = 0 is the zero-variable case."""
     lam = Partition(lam)
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
     if not lam:
         return 1
     if len(lam) > n:

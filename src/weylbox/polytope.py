@@ -321,14 +321,12 @@ def _split_equalities(rows):
 
 def _substitute(row, pinned) -> tuple[int, ...]:
     """Eliminate every pinned coordinate from an integer row (a, b, c) with
-    the echelon rows that pin them, scaling by positive factors only."""
+    the echelon rows that pin them, scaling by their positive pivots only."""
     for prow, pc in pinned:
         f = row[pc]
         if f:
             p = prow[pc]
             row = [p * x - f * y for x, y in zip(row, prow)]
-            if p < 0:
-                row = [-x for x in row]
     return tuple(_primitive_int_row(row))
 
 
@@ -351,13 +349,14 @@ class _Reduced:
         n = len(A[0]) if A else 0
         rows = [tuple(_primitive_int_row([*row, bv, cv]))
                 for row, bv, cv in zip(A, b, c or [0] * len(b))]
-        eqs, reduced, pivots, pinned = [], [], [], []
+        reduced, pivots, pinned = [], [], []
         while True:
             new, rows = _split_equalities(rows)
             if not new:
                 break
-            eqs += new
-            reduced, pivots = echelon(eqs, n + 2)
+            # the rows of the last round are already reduced: only the new
+            # equalities do any elimination work
+            reduced, pivots = echelon(reduced + new, n + 2)
             pinned = [(row, pc) for row, pc in zip(reduced, pivots) if pc < n]
             rows = [_substitute(row, pinned) for row in rows]
         self.free = [j for j in range(n) if j not in pivots]

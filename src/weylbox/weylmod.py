@@ -424,14 +424,16 @@ def _monomial_kernel(polys: list[dict], ops) -> list[tuple[Fraction, ...]]:
     """Basis of the combinations of polys (dicts {monomial: coeff}) that
     every operator kills, as coefficient vectors over polys. Each operator
     acts on a monomial and extends linearly; the images of all operators
-    are stacked into one system, solved by one exact nullspace."""
+    are stacked into one sparse system, one row {poly index: coeff} per
+    image monomial, solved by one exact nullspace."""
     rows = []
     for op in ops:
-        index: dict[tuple[int, ...], list] = {}
+        index: dict[tuple[int, ...], dict[int, int]] = {}
         for j, poly in enumerate(polys):
             for e, c in poly.items():
                 for key, v in op(e).items():
-                    index.setdefault(key, [0] * len(polys))[j] += c * v
+                    row = index.setdefault(key, {})
+                    row[j] = row.get(j, 0) + c * v
         rows.extend(index.values())
     return linalg.nullspace(rows, len(polys))
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -209,6 +210,12 @@ class TestWeyl:
         code, out = invoke(capsys, "weyl", "dim", "8,6,4,2", "10")
         assert code == 0 and out["payload"]["dimension"] == expected
 
+    @pytest.mark.parametrize("argv", [("2,1", "-3", "--basis"), ("", "-1")])
+    def test_dim_negative_n_refused(self, capsys, argv):
+        code, out = invoke(capsys, "weyl", "dim", *argv)
+        assert code == 1
+        assert out["payload"]["error"]["type"] == "ValueError"
+
     def test_dim_with_basis(self, capsys):
         code, out = invoke(capsys, "weyl", "dim", "1,1", "2", "--basis")
         assert code == 0
@@ -387,3 +394,51 @@ class TestTopLevel:
                            "lr", "positive", "1", "1", "2")
         assert code == 1
         assert out["payload"]["error"]["type"] == "FileNotFoundError"
+
+
+# A family with explicit +/- equality pairs: x + y = k in the rows, z = k
+# only once x is substituted away (a second elimination round), and
+# 2x - 2w <= 0 with w - x <= 0, a pair once both are made primitive.
+EQUALITY_PAIRS = {
+    "A": [["1", "1", "0", "0"], ["-1", "-1", "0", "0"],
+          ["1", "1", "1", "0"], ["0", "0", "-1", "0"],
+          ["2", "0", "0", "-2"], ["-1", "0", "0", "1"],
+          ["-1", "0", "0", "0"], ["0", "-1", "0", "0"],
+          ["0", "0", "0", "-1"], ["0", "1", "0", "0"]],
+    "b": ["1", "-1", "2", "-1", "0", "0", "0", "0", "0", "1"]}
+
+
+class TestPinnedPayloads:
+    """sha256 of json.dumps(payload, sort_keys=True) for the commands whose
+    answers come from the exact echelon (``_monomial_kernel`` and the
+    equality elimination of ``ehrhart``), recorded before the elimination
+    went sparse. ``wall_time_s`` sits outside the payload."""
+
+    @pytest.mark.parametrize("argv,digest", [
+        (["weyl", "invariants", "--gamma", "2,2,2", "--n", "3"],
+         "1b4773bb7b38bc23448b5827ca72f1fca6b64ff1079168bdce452d76ea718e73"),
+        (["weyl", "invariants", "--gamma", "4,2", "--n", "3"],
+         "1b4773bb7b38bc23448b5827ca72f1fca6b64ff1079168bdce452d76ea718e73"),
+        (["weyl", "symcheck", "det", "--size", "2"],
+         "0f7bbe26b2c030ef01f35e8650dcd5136aa81f4b3e4e9e563f04193bd793576d"),
+        (["weyl", "symcheck", "det", "--size", "3"],
+         "d6bd021e24f36565c183c4ac01f09c4dc196aeee20358d75b60ead9660d85047"),
+        (["weyl", "symcheck", "perm", "--size", "2"],
+         "894426ac98971cb0a98753ca14ae3a298040dea42f88ea75587eddf7ee860703"),
+        (["weyl", "symcheck", "perm", "--size", "3"],
+         "018b2d6dbe16486f79431e21c02edf2873e137450c2bf71a7d2927af05367e7f"),
+        (["weyl", "dim", "3,2,1", "3", "--basis"],
+         "daab1b64079294ecbed2acf44fa589147f9e7d3e9d32fcf3b8cad19ebdb6203b"),
+        (["magic", "3", "2", "--polys"],
+         "15f790205f4e5f135df097d962b9886357435ec5b103afd2e7fa23e53b3dabb7"),
+        (["ehrhart", "--polytope", "EQUALITY_PAIRS", "--series", "6"],
+         "bddf811bac93376416760eb614f83e118c67600f0396bd32953dcf0a2444099f"),
+    ])
+    def test_payload_digest(self, capsys, tmp_path, argv, digest):
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps(EQUALITY_PAIRS))
+        argv = [str(path) if a == "EQUALITY_PAIRS" else a for a in argv]
+        code, out = invoke(capsys, *argv)
+        assert code == 0
+        text = json.dumps(out["payload"], sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, text

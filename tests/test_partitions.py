@@ -163,6 +163,13 @@ class TestDimWeyl:
     def test_too_long(self):
         assert dim_weyl(Partition((1, 1, 1)), 2) == 0
 
+    def test_negative_n_refused(self):
+        for lam in [(), (2, 1)]:
+            with pytest.raises(ValueError, match="nonnegative"):
+                dim_weyl(Partition(lam), -1)
+        assert dim_weyl(Partition(()), 0) == 1
+        assert dim_weyl(Partition((1,)), 0) == 0
+
     @given(partition_strategy, st.integers(1, 4))
     def test_kostka_sum(self, lam, n):
         by_content = 0

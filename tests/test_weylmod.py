@@ -6,8 +6,9 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_linalg import dense_nullspace
 
-from weylbox import linalg, weylmod
+from weylbox import linalg, obstructions, weylmod
 from weylbox.config import DEFAULT, BudgetError
 from weylbox.partitions import (Partition, Tableau, dim_weyl, is_even,
                                 partitions_of, weak_compositions)
@@ -737,6 +738,66 @@ class TestMonomialKernel:
         expected = [e for e in weak_compositions(n * r, (n * r,) * (n * n))
                     if constant_degrees(e)]
         assert list(_torus_monomials(n, r)) == expected
+
+
+def dense_kernel(polys, ops):
+    """The kernel as it was before sparse rows: one dense row per image
+    monomial, solved by the dense reference elimination."""
+    rows = []
+    for op in ops:
+        index = {}
+        for j, poly in enumerate(polys):
+            for e, c in poly.items():
+                for key, v in op(e).items():
+                    index.setdefault(key, [0] * len(polys))[j] += c * v
+        rows.extend(index.values())
+    return dense_nullspace(rows, len(polys))
+
+
+def kernel_systems(monkeypatch, module, calls):
+    """The (polys, ops) systems that ``module`` hands to _monomial_kernel
+    while each of calls runs."""
+    systems = []
+
+    def spy(polys, ops):
+        systems.append((polys, ops))
+        return _monomial_kernel(polys, ops)
+
+    monkeypatch.setattr(module, "_monomial_kernel", spy)
+    for call in calls:
+        call()
+    return systems
+
+
+class TestSparseKernelMatchesDense:
+    def test_highest_weight_systems(self, monkeypatch):
+        systems = kernel_systems(
+            monkeypatch, weylmod,
+            [lambda lam=lam, n=n: highest_weight_vector(weyl_module(lam, n))
+             for lam, n in HWV_MODULES])
+        assert len(systems) == len(HWV_MODULES)
+        for polys, ops in systems:
+            assert _monomial_kernel(polys, ops) == dense_kernel(polys, ops)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_invariant_ring_systems(self, monkeypatch, n):
+        systems = kernel_systems(
+            monkeypatch, obstructions,
+            [lambda r=r: obstructions.invariant_ring_dimension_check(n, r)
+             for r in range(5)])
+        assert [len(polys) for polys, _ in systems] == \
+            [len(_torus_monomials(n, r)) for r in range(5)]
+        for polys, ops in systems:
+            assert _monomial_kernel(polys, ops) == dense_kernel(polys, ops)
+
+    @pytest.mark.parametrize("kind", ["det", "perm"])
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_symmetry_systems(self, monkeypatch, kind, size):
+        systems = kernel_systems(
+            monkeypatch, weylmod,
+            [lambda: symmetry_characterization_space(kind, size)])
+        (polys, ops), = systems
+        assert _monomial_kernel(polys, ops) == dense_kernel(polys, ops)
 
 
 class TestKempf:
