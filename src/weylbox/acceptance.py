@@ -61,7 +61,7 @@ def criterion_lr_oracle_triangle(budgets: Budgets) -> str:
     |alpha|, |beta| <= 4 range (lengths <= 4)."""
     triples = 0
     for alpha, beta in _lr_range():
-        prod = product_expand(alpha, beta)
+        prod = product_expand(alpha, beta, budgets)
         for lam in partitions_of(alpha.size + beta.size, max_length=4):
             expected = prod.get(lam, 0)
             got = lr_coefficient(LRQuery(alpha, beta, lam), budgets)

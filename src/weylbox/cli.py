@@ -184,7 +184,8 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets) -> dict:
 
     if cmd == "symfunc":
         if args.sf_command == "product":
-            return {"coefficients": _coeff_map(product_expand(args.alpha, args.beta))}
+            return {"coefficients": _coeff_map(
+                product_expand(args.alpha, args.beta, budgets))}
         return {"coefficients": _coeff_map(
             plethysm_expand(args.pi, args.mu, budgets))}
 

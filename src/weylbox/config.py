@@ -17,6 +17,7 @@ class BudgetError(ValueError):
 @dataclass(frozen=True)
 class Budgets:
     plethysm_degree_cap: int = 10   # cap on |pi| * |mu| in plethysm expansion
+    product_degree_cap: int = 16    # cap on |alpha| + |beta| in a Schur product
     weyl_dim_cap: int = 200         # cap on dim of an explicit Weyl-module model
     char_table_max_n: int = 14      # largest symmetric group S_n with a character table
     max_period: int = 4             # quasi-polynomial period search bound

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from operator import mul, neg
 from typing import Sequence
 
@@ -321,13 +321,15 @@ def _split_equalities(rows):
 
 def _substitute(row, pinned) -> tuple[int, ...]:
     """Eliminate every pinned coordinate from an integer row (a, b, c) with
-    the echelon rows that pin them, scaling by their positive pivots only."""
+    the echelon rows that pin them, scaling by their positive pivots only,
+    and divide the result by its gcd (every row here is already integer)."""
     for prow, pc in pinned:
         f = row[pc]
         if f:
             p = prow[pc]
             row = [p * x - f * y for x, y in zip(row, prow)]
-    return tuple(_primitive_int_row(row))
+    g = gcd(*row)
+    return tuple(v // g for v in row) if g > 1 else tuple(row)
 
 
 class _Reduced:

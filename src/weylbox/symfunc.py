@@ -5,12 +5,15 @@ coefficients of their semistandard-tableau content generating functions.
 Products and plethysms are evaluated only at the dominant monomials x^lam
 (lam a partition), the ones a Schur expansion reads: a product coefficient
 is the convolution of the factors' m-coefficients over the ways to split
-lam, and a plethysm coefficient comes from literal substitution of the
-monomials of the inner polynomial into the outer one, organized by target
-monomial, with equal monomials grouped into one letter that carries its
-Kostka multiplicity. Nothing here knows about Littlewood-Richardson or
-plethysm rules: this module is the brute-force oracle the rest of the
-toolkit is checked against.
+lam, read from a table of the m-basis structure constants that depends only
+on the two degrees and the variable count (``_m_table``), and a plethysm
+coefficient comes from literal substitution of the monomials of the inner
+polynomial into the outer one, organized by target monomial, with equal
+monomials grouped into one letter that carries its Kostka multiplicity. The
+product table is keyed on sizes only, never on an answer, and
+``product_degree_cap`` bounds it. Nothing here knows about
+Littlewood-Richardson or plethysm rules: this module is the brute-force
+oracle the rest of the toolkit is checked against.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import factorial
+from operator import sub
 from typing import Mapping
 
 from .config import DEFAULT, BudgetError, Budgets
@@ -33,7 +37,7 @@ class NonHomogeneousError(ValueError):
 def _sort(expo) -> tuple[int, ...]:
     """The partition of an exponent vector's nonzero entries, as a plain
     tuple (equal to, and hashed like, the Partition it names)."""
-    return tuple(sorted((e for e in expo if e), reverse=True))
+    return tuple(sorted(filter(None, expo), reverse=True))
 
 
 @dataclass(frozen=True)
@@ -64,23 +68,45 @@ class SymPoly:
 
     def __mul__(self, other: "SymPoly") -> "SymPoly":
         """Product in the m basis, computed only at dominant monomials:
-        [x^lam](f g) = sum over c <= lam of f_{sort c} g_{sort(lam - c)}."""
+        [x^lam](f g) = sum over c <= lam of f_{sort c} g_{sort(lam - c)}.
+        The splits of lam are read, tallied, from ``_m_table`` for each pair
+        of degrees in f and g, so a product walks no composition once the
+        table for its sizes is built."""
         if self.num_vars != other.num_vars:
             raise ValueError("variable counts differ")
         f, g = self.terms, other.terms
         acc: dict[Partition, object] = {}
         for d1 in {k.size for k in f}:
             for d2 in {k.size for k in g}:
-                for lam in partitions_of(d1 + d2, max_length=self.num_vars):
+                N = min(self.num_vars, d1 + d2)
+                for lam, splits in _m_table(d1, d2, N):
                     total = acc.get(lam, 0)
-                    for c in weak_compositions(d1, lam):
-                        a = f.get(_sort(c))
-                        if a:
-                            b = g.get(_sort([x - y for x, y in zip(lam, c)]))
-                            if b:
-                                total += a * b
+                    for a, b, mult in splits:
+                        x = f.get(a)
+                        if x:
+                            y = g.get(b)
+                            if y:
+                                total += mult * x * y
                     acc[lam] = total
         return SymPoly(self.num_vars, acc)
+
+
+@lru_cache(maxsize=None)
+def _m_table(d1: int, d2: int, N: int) -> tuple:
+    """The m-basis structure constants m_a * m_b = sum M^lam_{ab} m_lam for
+    deg a = d1, deg b = d2 in N variables: for each lam |- d1 + d2 with at
+    most N parts, in ``partitions_of`` order, the pair ``(lam, splits)``,
+    where ``splits`` holds ``(sort c, sort(lam - c), multiplicity)`` over the
+    weak compositions c of d1 with c <= lam, in order of first appearance.
+    The key is sizes only, never a factor or an answer; callers pass
+    N <= d1 + d2, since longer lam do not exist, so one table serves every
+    larger variable count."""
+    table = []
+    for lam in partitions_of(d1 + d2, max_length=N):
+        splits = Counter((_sort(c), _sort(map(sub, lam, c)))
+                         for c in weak_compositions(d1, lam))
+        table.append((lam, tuple((a, b, m) for (a, b), m in splits.items())))
+    return tuple(table)
 
 
 @lru_cache(maxsize=None)
@@ -128,12 +154,18 @@ def schur_expand(f: SymPoly) -> dict[Partition, object]:
     return out
 
 
-def product_expand(alpha: Partition, beta: Partition) -> dict[Partition, int]:
+def product_expand(alpha: Partition, beta: Partition,
+                   budgets: Budgets = DEFAULT) -> dict[Partition, int]:
     """Littlewood-Richardson coefficients c^lam_{alpha,beta} as the Schur
     expansion of s_alpha * s_beta, computed in len(alpha)+len(beta)
     variables: enough to determine every coefficient, since c^lam_{alpha,beta}
-    vanishes when lam is longer."""
+    vanishes when lam is longer. The degree cap (``product_degree_cap``) is
+    checked before any cached work, so it also bounds ``_m_table``."""
     alpha, beta = Partition(alpha), Partition(beta)
+    degree = alpha.size + beta.size
+    if degree > budgets.product_degree_cap:
+        raise BudgetError(f"product degree {degree} exceeds cap "
+                          f"{budgets.product_degree_cap}")
     N = len(alpha) + len(beta)
     prod = schur(alpha, N) * schur(beta, N)
     return {k: int(v) for k, v in schur_expand(prod).items()}

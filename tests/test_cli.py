@@ -339,6 +339,7 @@ class TestTopLevel:
 
     @pytest.mark.parametrize("cap,value,argv", [
         ("plethysm_degree_cap", 2, ("symfunc", "plethysm", "2", "2")),
+        ("product_degree_cap", 3, ("symfunc", "product", "2", "2")),
         ("weyl_dim_cap", 1, ("weyl", "invariants", "--gamma", "4", "--n", "2")),
         ("char_table_max_n", 2, ("kron", "coeff", "2,1", "2,1", "2,1")),
         ("hive_side_cap", 2, ("lr", "coeff", "2,1", "2,1", "3,2,1")),
@@ -372,6 +373,7 @@ class TestTopLevel:
 
     @pytest.mark.parametrize("key,cap,value", [
         ("lr-oracle-triangle", "hive_side_cap", 2),
+        ("lr-oracle-triangle", "product_degree_cap", 2),
         ("lr-saturation", "hive_side_cap", 2),
         ("lr-stretch-quasipolynomial", "hive_side_cap", 2),
         ("plethysm-oracle", "plethysm_degree_cap", 2),

@@ -9,9 +9,9 @@ from weylbox.config import DEFAULT, BudgetError
 from weylbox.lr import LRQuery, lr_coefficient
 from weylbox.partitions import (Partition, dim_weyl, iter_ssyt, kostka,
                                 partitions_of, weak_compositions)
-from weylbox.symfunc import (NonHomogeneousError, SymPoly, _alphabet, _sort,
-                             _ways, plethysm_expand, product_expand, schur,
-                             schur_expand)
+from weylbox.symfunc import (NonHomogeneousError, SymPoly, _alphabet,
+                             _m_table, _sort, _ways, plethysm_expand,
+                             product_expand, schur, schur_expand)
 
 P = Partition
 
@@ -83,6 +83,86 @@ class TestProduct:
         coeffs = product_expand(a, b)
         total = sum(c * dim_weyl(lam, n) for lam, c in coeffs.items())
         assert total == dim_weyl(a, n) * dim_weyl(b, n)
+
+    def test_cap_checked_before_table(self, monkeypatch):
+        tables, schurs = _m_table.cache_info(), schur.cache_info()
+        with pytest.raises(BudgetError, match="degree 17 exceeds cap 16"):
+            product_expand(P((9,)), P((4, 4)))
+        assert _m_table.cache_info() == tables
+        assert schur.cache_info() == schurs
+
+        def untouchable(*args):
+            raise AssertionError("table built past the cap")
+
+        monkeypatch.setattr(symfunc, "_m_table", untouchable)
+        with pytest.raises(BudgetError, match="degree 5 exceeds cap 4"):
+            product_expand(P((3,)), P((1, 1)),
+                           replace(DEFAULT, product_degree_cap=4))
+
+    def test_cap_admits_its_own_degree(self):
+        assert product_expand(P((1,)), P((1,)),
+                              replace(DEFAULT, product_degree_cap=2)) == \
+            {P((2,)): 1, P((1, 1)): 1}
+
+    def test_table_keyed_by_sizes_only(self):
+        # the oracle workload's products: 1 <= |alpha|, |beta| <= 4
+        shapes = [lam for n in range(1, 5) for lam in partitions_of(n)]
+        pairs = [(a, b) for a in shapes for b in shapes]
+        assert len(pairs) == 121
+        _m_table.cache_clear()
+        for a, b in pairs:
+            product_expand(a, b)
+        sizes = {(a.size, b.size, min(len(a) + len(b), a.size + b.size))
+                 for a, b in pairs}
+        assert _m_table.cache_info().currsize == len(sizes)
+
+
+def convolve(f: SymPoly, g: SymPoly) -> SymPoly:
+    """Reference: the m-basis product that walks every weak composition
+    c <= lam and sorts c and lam - c on every call, the walk the cached
+    ``_m_table`` replaced."""
+    if f.num_vars != g.num_vars:
+        raise ValueError("variable counts differ")
+    acc: dict[Partition, object] = {}
+    for d1 in {k.size for k in f.terms}:
+        for d2 in {k.size for k in g.terms}:
+            for lam in partitions_of(d1 + d2, max_length=f.num_vars):
+                total = acc.get(lam, 0)
+                for c in weak_compositions(d1, lam):
+                    a = f.terms.get(_sort(c))
+                    if a:
+                        b = g.terms.get(_sort([x - y for x, y in zip(lam, c)]))
+                        if b:
+                            total += a * b
+                acc[lam] = total
+    return SymPoly(f.num_vars, acc)
+
+
+coefficient = st.one_of(st.integers(-6, 6),
+                        st.fractions(-3, 3, max_denominator=4))
+
+
+@st.composite
+def sympoly(draw, N: int) -> SymPoly:
+    """A symmetric polynomial in N variables over up to three consecutive
+    degrees, possibly empty."""
+    low = draw(st.integers(0, 3))
+    keys = [lam for d in range(low, low + 3)
+            for lam in partitions_of(d, max_length=N)]
+    chosen = draw(st.lists(st.sampled_from(keys), max_size=6, unique=True))
+    return SymPoly(N, {lam: draw(coefficient) for lam in chosen})
+
+
+class TestTabulatedProduct:
+    @given(st.integers(1, 6).flatmap(lambda N: st.tuples(sympoly(N),
+                                                          sympoly(N))))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_convolution(self, pair):
+        f, g = pair
+        got, want = (f * g).terms, convolve(f, g).terms
+        assert list(got.items()) == list(want.items())
+        assert [type(v) for v in got.values()] == \
+            [type(v) for v in want.values()]
 
 
 class TestPlethysm:
