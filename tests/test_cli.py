@@ -339,12 +339,12 @@ class TestTopLevel:
 
     @pytest.mark.parametrize("cap,value,argv", [
         ("plethysm_degree_cap", 2, ("symfunc", "plethysm", "2", "2")),
-        ("product_degree_cap", 3, ("symfunc", "product", "2", "2")),
         ("weyl_dim_cap", 1, ("weyl", "invariants", "--gamma", "4", "--n", "2")),
         ("char_table_max_n", 2, ("kron", "coeff", "2,1", "2,1", "2,1")),
         ("hive_side_cap", 2, ("lr", "coeff", "2,1", "2,1", "3,2,1")),
         ("magic_size_cap", 2, ("magic", "3", "1")),
         ("magic_weight_cap", 1, ("magic", "3", "2")),
+        ("product_degree_cap", 3, ("symfunc", "product", "2", "2")),
     ])
     def test_config_cap_refuses(self, capsys, tmp_path, cap, value, argv):
         path = config(tmp_path, **{cap: value})
