@@ -11,8 +11,13 @@ inner loops run on Python integers: a family is reduced once for every k
 does) and only its right-hand side is rescaled per k, linear programs go
 through one fraction-free simplex with Bland's rule, integer points are
 counted by a DFS over the reduced rows, and each residue class of a
-quasi-polynomial fit is interpolated over one common denominator. Answers
-are exact.
+quasi-polynomial fit is interpolated over one common denominator. The DFS
+follows a row plan made once per family (which rows bound each coordinate,
+split by sign), so a k only supplies its right-hand side, box and caps; it
+closes its last two levels, counting the last coordinate for each value of
+the one before instead of recursing into it, whenever no pinned coordinate
+needs an integrality test, which a pin with pivot 1 never does. Answers are
+exact.
 """
 
 from __future__ import annotations
@@ -345,6 +350,13 @@ class _Reduced:
     ``b``, ``c`` their rows. ``consts`` holds (b, c) for each condition
     0 <= k*b + c left with no coefficient (both sides of an equality that
     reads 0 = k*b + c among them).
+
+    ``count`` runs a DFS over the free coordinates on ``_plan``, the rows
+    that bound each coordinate split by sign, which depends on the family
+    only. Each pinned coordinate p * x_pc = k*b + c - coeffs . x_free is an
+    integer exactly when p divides the right side; with p = 1 it always is,
+    so only pins with p > 1 are tested, and without them the DFS closes its
+    last two levels.
     """
 
     def __init__(self, A, b, c=None):
@@ -429,16 +441,47 @@ class _Reduced:
         return [(-(-scale * lo.numerator // lo.denominator),
                  scale * hi.numerator // hi.denominator) for lo, hi in bounds]
 
+    @cached_property
+    def _plan(self):
+        """The row plan, fixed for the family: per free coordinate d, the
+        rows with a positive and with a negative coefficient there, as
+        (row, a, s) with a that coefficient and s the row's coefficient at
+        coordinate d - 1 (0 at d = 0). When coordinate d - 1 steps by one, a
+        row's bound on coordinate d steps by s, which the closed last level
+        uses."""
+        plan = []
+        for d in range(len(self.free)):
+            terms = [(r, row[d], row[d - 1] if d else 0)
+                     for r, row in enumerate(self.A) if row[d]]
+            plan.append(([t for t in terms if t[1] > 0],
+                         [t for t in terms if t[1] < 0]))
+        return plan
+
     def count(self, k: int) -> int:
         """|P(k) ∩ Z^n| by bounding box plus DFS with constraint propagation;
         raises UnboundedPolytopeError when some coordinate has no finite
-        range. The bound a row puts on a coordinate is a floor division,
-        exact because the coordinate is integral, and a free point counts
-        when every pinned coordinate it determines is an integer."""
+        range.
+
+        The DFS runs on the row plan (``_plan``): per k only the right-hand
+        side, the box and each depth's caps (the right-hand side less the
+        row's minimum over the box beyond that depth) are computed. The
+        bound a row puts on a coordinate is a floor division of its cap less
+        the partial sum so far, exact because the coordinate is integral,
+        and at a row's last nonzero column it is exact, so every row holds
+        at every point the DFS reaches. A free point counts when every
+        pinned coordinate it determines is an integer; a pin with pivot 1
+        always is, so only pins with pivots above 1 are tested, one point at
+        a time. Without such a pin the last two levels are closed: one loop
+        over the values v of the next-to-last coordinate, in which each
+        row's bound on the last coordinate is the floor of a numerator that
+        steps by the row's coefficient at v, and the last coordinate is
+        counted, not enumerated."""
         rhs = self.rhs(k)
         if rhs is None:
             return 0
-        pins = [(p, coeffs, k * bv + cv) for p, coeffs, bv, cv in self._pins]
+        # a pin with pivot 1 (pivots are positive) is integral everywhere
+        pins = [(p, coeffs, k * bv + cv) for p, coeffs, bv, cv in self._pins
+                if p != 1]
 
         def integral(point) -> bool:
             return all((r - sum(map(mul, coeffs, point))) % p == 0
@@ -451,54 +494,104 @@ class _Reduced:
         if box is None or any(lo > hi for lo, hi in box):
             return 0
 
-        A, b = self.A, rhs
-        m = len(A)
-        # tail_min[r][d] = minimum of sum_{j >= d} A[r][j] * x_j over the box
-        tail_min = [[0] * (nfree + 1) for _ in range(m)]
-        for r in range(m):
-            for d in range(nfree - 1, -1, -1):
-                a = A[r][d]
-                tail_min[r][d] = tail_min[r][d + 1] + min(a * box[d][0], a * box[d][1])
-        # per depth, the rows that constrain that coordinate: (row, coeff, tail)
-        at_depth = [[(r, A[r][d], tail_min[r][d + 1]) for r in range(m) if A[r][d]]
-                    for d in range(nfree)]
-        partial = [0] * m
+        # caps[d]: per sign, (row, a, s, rhs - min over the box of the row's
+        # terms beyond d); the minimum takes lo for a > 0 and hi for a < 0
+        tail = [0] * len(rhs)
+        caps = [None] * nfree
+        for d in range(nfree - 1, -1, -1):
+            pos, neg = self._plan[d]
+            caps[d] = ([(r, a, s, rhs[r] - tail[r]) for r, a, s in pos],
+                       [(r, a, s, rhs[r] - tail[r]) for r, a, s in neg])
+            lo, hi = box[d]
+            for r, a, _ in pos:
+                tail[r] += a * lo
+            for r, a, _ in neg:
+                tail[r] += a * hi
+        writes = [pos + neg for pos, neg in caps]
+        partial = [0] * len(rhs)
         point = [0] * nfree
         last = nfree - 1
-        pinned = bool(pins)
         count = 0
 
-        # The slack bound at a row's last nonzero column is exact (its tail is
-        # empty), so every row holds at every point the DFS reaches: with no
-        # pinned coordinate the last one is counted in closed form.
+        def enumerate_last(lo: int, hi: int) -> int:
+            n = 0
+            for v in range(lo, hi + 1):
+                point[last] = v
+                if integral(point):
+                    n += 1
+            return n
+
+        def closed_last_two(lo: int, hi: int) -> int:
+            # At v = lo + t a row bounds the last coordinate x by
+            # a*x <= num - s*t, num = cap - partial - s*lo, so x runs over
+            # [low, high] with high + 1 = min of (num + a - s*t) // a over
+            # a > 0 and -low = min of (num - s*t) // -a over a < 0. Rows
+            # with s = 0 bound x alike for every v and are folded in first.
+            low, high = box[last]
+            top, bottom = high + 1, -low
+            ups, downs = [], []
+            for r, a, s, cap in caps[last][0]:
+                num = cap - partial[r] - s * lo + a
+                if s:
+                    ups.append((num, s, a))
+                else:
+                    top = min(top, num // a)
+            for r, a, s, cap in caps[last][1]:
+                num = cap - partial[r] - s * lo
+                if s:
+                    downs.append((num, s, -a))
+                else:
+                    bottom = min(bottom, num // -a)
+            if not ups and not downs:
+                return (hi - lo + 1) * max(top + bottom, 0)
+            n = 0
+            for t in range(hi - lo + 1):
+                up = top
+                for num, s, a in ups:
+                    bound = (num - s * t) // a
+                    if bound < up:
+                        up = bound
+                down = bottom
+                for num, s, a in downs:
+                    bound = (num - s * t) // a
+                    if bound < down:
+                        down = bound
+                if up + down > 0:
+                    n += up + down
+            return n
+
+        if pins:
+            stop, leaf = last, enumerate_last
+        elif nfree == 1:
+            stop, leaf = last, lambda lo, hi: hi - lo + 1
+        else:
+            stop, leaf = last - 1, closed_last_two
+
         def dfs(d: int):
             nonlocal count
             lo, hi = box[d]
-            for r, a, tail in at_depth[d]:
-                slack = b[r] - partial[r] - tail
-                if a > 0:
-                    hi = min(hi, slack // a)
-                else:
-                    lo = max(lo, -(slack // -a))
+            pos, neg = caps[d]
+            for r, a, _, cap in pos:
+                bound = (cap - partial[r]) // a
+                if bound < hi:
+                    hi = bound
+            for r, a, _, cap in neg:
+                bound = -((cap - partial[r]) // -a)
+                if bound > lo:
+                    lo = bound
             if lo > hi:
                 return
-            if d == last:
-                if not pinned:
-                    count += hi - lo + 1
-                    return
-                for v in range(lo, hi + 1):
-                    point[d] = v
-                    if integral(point):
-                        count += 1
+            if d == stop:
+                count += leaf(lo, hi)
                 return
-            rows = at_depth[d]
-            base = [partial[r] for r, _, _ in rows]
+            rows = writes[d]
+            base = [partial[r] for r, _, _, _ in rows]
             for v in range(lo, hi + 1):
                 point[d] = v
-                for (r, a, _), p0 in zip(rows, base):
+                for (r, a, _, _), p0 in zip(rows, base):
                     partial[r] = p0 + a * v
                 dfs(d + 1)
-            for (r, _, _), p0 in zip(rows, base):
+            for (r, _, _, _), p0 in zip(rows, base):
                 partial[r] = p0
 
         dfs(0)

@@ -2,6 +2,7 @@ import json
 from fractions import Fraction as F
 from itertools import combinations, product
 from math import ceil, floor
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from weylbox import polytope
 from weylbox.acceptance import STRETCH_QUERIES
 from weylbox.linalg import det, solve_columns
-from weylbox.lr import LRQuery, lr_stretch
+from weylbox.lr import LRQuery, _hive_side, _reduced_hive, lr_stretch
 from weylbox.partitions import Partition
 from weylbox.polytope import (FitError, InfeasibleError, ParamPolytope,
                               QuasiPolynomial,
@@ -437,6 +438,147 @@ class TestFamilyCounts:
         assert count_integer_points(ParamPolytope(A, b, (F(1), F(0)))) == 2
         empty = ParamPolytope(A, b, (F(-1), F(0)))
         assert not feasible(empty) and count_integer_points(empty) == 0
+
+
+def reference_count(reduced, k):
+    """The DFS that ``_Reduced.count`` replaced, kept as its reference: it
+    rebuilds its per-depth rows at every k, recurses once per value down to
+    the last coordinate and tests every pin, whatever its pivot."""
+    self = reduced
+    rhs = self.rhs(k)
+    if rhs is None:
+        return 0
+    pins = [(p, coeffs, k * bv + cv) for p, coeffs, bv, cv in self._pins]
+
+    def integral(point) -> bool:
+        return all((r - sum(map(mul, coeffs, point))) % p == 0
+                   for p, coeffs, r in pins)
+
+    nfree = len(self.free)
+    if nfree == 0:
+        return int(integral(()))
+    box = self.box(k, rhs)
+    if box is None or any(lo > hi for lo, hi in box):
+        return 0
+
+    A, b = self.A, rhs
+    m = len(A)
+    # tail_min[r][d] = minimum of sum_{j >= d} A[r][j] * x_j over the box
+    tail_min = [[0] * (nfree + 1) for _ in range(m)]
+    for r in range(m):
+        for d in range(nfree - 1, -1, -1):
+            a = A[r][d]
+            tail_min[r][d] = tail_min[r][d + 1] + min(a * box[d][0], a * box[d][1])
+    # per depth, the rows that constrain that coordinate: (row, coeff, tail)
+    at_depth = [[(r, A[r][d], tail_min[r][d + 1]) for r in range(m) if A[r][d]]
+                for d in range(nfree)]
+    partial = [0] * m
+    point = [0] * nfree
+    last = nfree - 1
+    pinned = bool(pins)
+    count = 0
+
+    # The slack bound at a row's last nonzero column is exact (its tail is
+    # empty), so every row holds at every point the DFS reaches: with no
+    # pinned coordinate the last one is counted in closed form.
+    def dfs(d: int):
+        nonlocal count
+        lo, hi = box[d]
+        for r, a, tail in at_depth[d]:
+            slack = b[r] - partial[r] - tail
+            if a > 0:
+                hi = min(hi, slack // a)
+            else:
+                lo = max(lo, -(slack // -a))
+        if lo > hi:
+            return
+        if d == last:
+            if not pinned:
+                count += hi - lo + 1
+                return
+            for v in range(lo, hi + 1):
+                point[d] = v
+                if integral(point):
+                    count += 1
+            return
+        rows = at_depth[d]
+        base = [partial[r] for r, _, _ in rows]
+        for v in range(lo, hi + 1):
+            point[d] = v
+            for (r, a, _), p0 in zip(rows, base):
+                partial[r] = p0 + a * v
+            dfs(d + 1)
+        for (r, _, _), p0 in zip(rows, base):
+            partial[r] = p0
+
+    dfs(0)
+    return count
+
+
+@st.composite
+def pinned_families(draw):
+    """A family of ``families()`` with a new first coordinate x_0 pinned by
+    a pair p*x_0 + a.x = k*b + c, (-p, -a, -b, -c). Reduced, x_0 has pivot p
+    over the gcd of the row: pivot 1 is a unit pin, and a pivot of 2 or more
+    (as in 2x - y) is tested for integrality at every point."""
+    pp = draw(families())
+    n = pp.dim
+    p = draw(st.integers(1, 3))
+    a = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    bv, cv = draw(small_rationals), draw(small_rationals)
+    eq = (F(p), *map(F, a))
+    return ParamPolytope(
+        tuple((F(0), *row) for row in pp.A) + (eq, tuple(-x for x in eq)),
+        pp.b + (bv, -bv), pp.c + (cv, -cv))
+
+
+class TestCountAgainstReference:
+    """The row-plan DFS with its closed last two levels counts what the
+    reference DFS counts, and fails at the same k."""
+
+    @given(st.one_of(families(), pinned_families()), st.integers(1, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, pp, K):
+        expected = []
+        for k in range(1, K + 1):
+            try:
+                expected.append(reference_count(_Reduced(pp.A, pp.b, pp.c), k))
+            except UnboundedPolytopeError:
+                with pytest.raises(UnboundedPolytopeError,
+                                   match=f"^unbounded polytope at k={k}$"):
+                    _Reduced(pp.A, pp.b, pp.c).counts(K)
+                return
+        assert _Reduced(pp.A, pp.b, pp.c).counts(K) == tuple(expected)
+
+    def test_pinned_hive(self):
+        # the side-6 hive of the stretch probe: 7 free coordinates and three
+        # pins, all of pivot 1, so it takes the closed last two levels
+        q = LRQuery(Partition((8, 6, 4, 2)), Partition((8, 6, 4, 2)),
+                    Partition((12, 10, 8, 6, 2, 2)))
+        hive = _reduced_hive(q, 6)
+        assert len(hive.free) == 7
+        assert [p for p, _, _, _ in hive._pins] == [1, 1, 1]
+        assert hive.counts(4) == (160, 3510, 30348, 158235)
+
+    @pytest.mark.parametrize("raw", STRETCH_QUERIES)
+    def test_stretch_hives(self, raw):
+        q = LRQuery(*(Partition(p) for p in raw))
+        hive = _reduced_hive(q, _hive_side(q, None))
+        assert hive.counts(4) == tuple(reference_count(hive, k) for k in range(1, 5))
+
+    def test_pivot_two_pin(self):
+        # 2x = y + z over 0 <= y, z <= k: x is pinned with pivot 2, so only
+        # the points with y + z even count, through the integrality test
+        pp = ParamPolytope(
+            ((F(0), F(1), F(0)), (F(0), F(-1), F(0)), (F(0), F(0), F(1)),
+             (F(0), F(0), F(-1)), (F(2), F(-1), F(-1)), (F(-2), F(1), F(1))),
+            (F(1), F(0), F(1), F(0), F(0), F(0)))
+        reduced = _Reduced(pp.A, pp.b, pp.c)
+        assert [p for p, _, _, _ in reduced._pins] == [2]
+        expected = tuple(((k + 1) ** 2 + 1) // 2 for k in range(1, 6))
+        assert reduced.counts(5) == expected == (2, 5, 8, 13, 18)
+        assert expected == tuple(reference_count(reduced, k) for k in range(1, 6))
+
 
 class TestFit:
     def test_polynomial(self):
