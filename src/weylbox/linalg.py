@@ -16,14 +16,19 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
+def clear_denominators(row) -> tuple[list[int], int]:
+    """A row of ints (bools included) and Fractions as (ints, den): den is
+    the lcm of the denominators and ints the integers den * row."""
+    if all(type(x) is int for x in row):
+        return list(row), 1
+    den = lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row], den
+
+
 def _primitive_int_row(row) -> list[int]:
     """Scale a row of ints (bools included) and Fractions to a primitive
     integer row (gcd 1, or all zero)."""
-    if all(type(x) is int for x in row):
-        ints = list(row)
-    else:
-        den = lcm(*(x.denominator for x in row))
-        ints = [x.numerator * (den // x.denominator) for x in row]
+    ints = clear_denominators(row)[0]
     g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
@@ -40,8 +45,7 @@ def _sparse_row(row) -> dict[int, int]:
     try:
         g = gcd(*r.values())
     except TypeError:  # Fractions: clear the denominators first
-        den = lcm(*(v.denominator for v in r.values()))
-        r = {j: v.numerator * (den // v.denominator) for j, v in r.items()}
+        r = dict(zip(r, clear_denominators(r.values())[0]))
         g = gcd(*r.values())
     if r[min(r)] < 0:
         g = -g
@@ -167,12 +171,9 @@ def det(A) -> Fraction:
     the lcm of its denominators, which the result divides back out."""
     rows, scale = [], 1
     for r in A:
-        if all(type(x) is int for x in r):
-            rows.append(list(r))
-        else:
-            den = lcm(*(x.denominator for x in r))
-            rows.append([x.numerator * (den // x.denominator) for x in r])
-            scale *= den
+        ints, den = clear_denominators(r)
+        rows.append(ints)
+        scale *= den
     n = len(rows)
     sign, prev = 1, 1
     for k in range(n - 1):

@@ -10,14 +10,15 @@ inner loops run on Python integers: a family is reduced once for every k
 (``_Reduced``, which also takes integer rows as they are, as the LR hive
 does) and only its right-hand side is rescaled per k, linear programs go
 through one fraction-free simplex with Bland's rule, integer points are
-counted by a DFS over the reduced rows, and each residue class of a
-quasi-polynomial fit is interpolated over one common denominator. The DFS
-follows a row plan made once per family (which rows bound each coordinate,
-split by sign), so a k only supplies its right-hand side, box and caps; it
-closes its last two levels, counting the last coordinate for each value of
-the one before instead of recursing into it, whenever no pinned coordinate
-needs an integrality test, which a pin with pivot 1 never does. Answers are
-exact.
+counted by a DFS over the reduced rows, and a quasi-polynomial fit puts
+the values over one common denominator, decides each period by integer
+forward differences per residue class and expands only the period that
+fits, from each class's Newton form. The DFS follows a row plan made once
+per family (which rows bound each coordinate, split by sign), so a k only
+supplies its right-hand side, box and caps; it closes its last two levels,
+counting the last coordinate for each value of the one before instead of
+recursing into it, whenever no pinned coordinate needs an integrality
+test, which a pin with pivot 1 never does. Answers are exact.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 from operator import mul, neg
 from typing import Sequence
 
-from .linalg import _primitive_int_row, echelon
+from .linalg import _primitive_int_row, clear_denominators, echelon
 
 
 class InfeasibleError(ValueError):
@@ -222,8 +223,7 @@ def _simplex(A, b, c) -> tuple[str, Fraction | None]:
                     # redundant row: zero it so it never constrains again
                     rows[i] = [0] * (ncols + 1)
 
-    cden = lcm(*(x.denominator for x in c)) if c else 1
-    cost = [x.numerator * (cden // x.denominator) for x in c]
+    cost, cden = clear_denominators(c)
     if not any(cost):
         return "optimal", Fraction(0)
     set_objective(cost + [-x for x in cost] + [0] * (ncols - 2 * n))
@@ -671,88 +671,75 @@ class QuasiPolynomial:
                          for comp in data["components"]))
 
 
-def _lagrange(points: list[tuple[int, int]]) -> tuple[list[int], int]:
-    """Exact interpolating polynomial through integer (k, value) points, as
-    (numerators, denominator) with numerators constant first. Integer
-    arithmetic throughout: the denominator is the lcm of the Lagrange
-    weights prod_{j != i} (k_i - k_j)."""
-    bases, weights = [], []
-    for i, (xi, _) in enumerate(points):
-        basis = [1]
-        weight = 1
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            new = [0] * (len(basis) + 1)
-            for d, c in enumerate(basis):
-                new[d] -= c * xj
-                new[d + 1] += c
-            basis = new
-            weight *= xi - xj
-        bases.append(basis)
-        weights.append(weight)
-    den = lcm(*weights)
-    coeffs = [0] * len(points)
-    for (_, yi), basis, weight in zip(points, bases, weights):
-        scale = yi * (den // weight)
-        for d, c in enumerate(basis):
-            coeffs[d] += scale * c
-    return coeffs, den
-
-
-def _horner(coeffs: list[int], k: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * k + c
-    return acc
+def _newton(k0: int, period: int, lead: list[int]) -> tuple[list[int], int]:
+    """The polynomial sum_i lead[i] * prod_{j<i} (k - k0 - j*period)
+    / (i! * period^i), the Newton form through a class whose forward
+    differences at k0 are lead, as (numerators, denominator) with
+    numerators constant first and denominator (m-1)! * period^(m-1),
+    m = len(lead). Integer Horner steps in the Newton form: weight i is
+    (m-1)!/i! * period^(m-1-i)."""
+    acc, w = [lead[-1]], 1
+    for i in range(len(lead) - 2, -1, -1):
+        w *= (i + 1) * period
+        x = k0 + i * period
+        acc = [a - x * b for a, b in zip([0, *acc], [*acc, 0])]
+        acc[0] += lead[i] * w
+    return acc, w
 
 
 def fit_quasipolynomial(values: Sequence, max_period: int, max_degree: int,
                         holdout: int, skip_prefix: int = 0) -> QuasiPolynomial:
     """Smallest-period exact quasi-polynomial through counting data.
 
-    ``values[i]`` is the count at k = i + 1. The last ``holdout`` values are
-    excluded from interpolation and used purely for verification; the first
-    ``skip_prefix`` values are discarded entirely (asymptotic counting
-    functions may deviate on a finite prefix). Periods are tried in
-    increasing order; per residue class the fit is the exact Lagrange
-    interpolant through that class's first ``max_degree + 1`` fitting values,
-    which must then reproduce every fitting and holdout value. By uniqueness
-    of the interpolant this is the interpolant through all of the class's
-    fitting values whenever that one has degree at most ``max_degree``.
-    Raises FitError when no (period, degree) combination reproduces fitting
-    and holdout values.
+    ``values[i]`` is the count at k = i + 1, an int or a Fraction. The last
+    ``holdout`` values are excluded from interpolation and used purely for
+    verification; the first ``skip_prefix >= 0`` values are discarded
+    entirely (asymptotic counting functions may deviate on a finite
+    prefix). Periods are tried in increasing order. A residue class, the
+    values at k0, k0 + period, ... up to the last value, is a polynomial of
+    degree below m in k exactly when its m-th forward differences vanish
+    (equally spaced points), with m = min(max_degree + 1, the number of the
+    class's fitting values): then the interpolant through its first m
+    fitting values reproduces every fitting and holdout value, and by
+    uniqueness it is the interpolant through all of its fitting values.
+    The test is integer subtraction only; the accepted period alone is
+    expanded, per class from its Newton form (``_newton``). Raises
+    FitError when no (period, degree) combination reproduces fitting and
+    holdout values.
     """
     K = len(values)
     if holdout < 1:
         raise ValueError("holdout must be positive")
     if max_period < 1:
         raise ValueError("max_period must be positive")
-    vals = [_frac(v) for v in values]
-    fit_ks = list(range(skip_prefix + 1, K - holdout + 1))
-    check_ks = list(range(skip_prefix + 1, K + 1))
-    if not fit_ks:
+    if skip_prefix < 0:
+        raise ValueError("skip_prefix must be nonnegative")
+    last = K - holdout  # the last fitting k
+    if last <= skip_prefix:
         raise ValueError("no fitting values left after skip_prefix/holdout")
     if max_degree < 0:
         raise FitError("not quasi-polynomial within bounds")  # every degree is >= 0
     # the values over one common denominator, so fits run on integers
-    scale = lcm(*(v.denominator for v in vals))
-    ys = [v.numerator * (scale // v.denominator) for v in vals]
+    ys, scale = clear_denominators(values)
 
-    for period in range(1, max_period + 1):
-        classes: dict[int, list[tuple[int, int]]] = {r: [] for r in range(period)}
-        for k in fit_ks:
-            classes[k % period].append((k, ys[k - 1]))
-        if any(not pts for pts in classes.values()):
-            continue
-        fits = [_lagrange(classes[r][:max_degree + 1]) for r in range(period)]
-        if not all(_horner(fits[k % period][0], k) == ys[k - 1] * fits[k % period][1]
-                   for k in check_ks):
-            continue
-        comps = []
-        for coeffs, den in fits:
-            while len(coeffs) > 1 and coeffs[-1] == 0:
-                coeffs.pop()
-            comps.append(tuple(Fraction(c, den * scale) for c in coeffs))
-        return QuasiPolynomial(period, tuple(comps))
+    # a period above last - skip_prefix leaves some class no fitting value
+    for period in range(1, min(max_period, last - skip_prefix) + 1):
+        leads = []
+        for k0 in range(skip_prefix + 1, skip_prefix + period + 1):
+            seq = ys[k0 - 1::period]
+            lead = []
+            for _ in range(min(max_degree + 1, (last - k0) // period + 1)):
+                lead.append(seq[0])
+                seq = [b - a for a, b in zip(seq, seq[1:])]
+            if any(seq):
+                break
+            leads.append((k0, lead))
+        else:
+            comps = [()] * period
+            for k0, lead in leads:
+                coeffs, den = _newton(k0, period, lead)
+                while len(coeffs) > 1 and coeffs[-1] == 0:
+                    coeffs.pop()
+                comps[k0 % period] = tuple(Fraction(c, den * scale) for c in coeffs)
+            return QuasiPolynomial(period, tuple(comps))
     raise FitError("not quasi-polynomial within bounds")

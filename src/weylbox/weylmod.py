@@ -35,7 +35,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from operator import add
 
 from . import linalg
@@ -80,12 +79,8 @@ class MultiPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(map(add, e1, e2))
-                v = out.get(e, 0) + c1 * c2
-                if v:
-                    out[e] = v
-                else:
-                    out.pop(e, None)
-        return MultiPoly(self.nvars, out)
+                out[e] = out.get(e, 0) + c1 * c2
+        return MultiPoly(self.nvars, out)  # __init__ drops cancelled terms
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], object]]:
         return sorted(self.terms.items(), reverse=True)
@@ -276,8 +271,8 @@ def group_action_matrix(M: WeylModuleModel, g) -> tuple[tuple[Fraction, ...], ..
         raise ValueError(f"group element must be {n}x{n}")
     if linalg.det(g) == 0:
         raise ValueError("singular matrix cannot act on the module")
-    D = lcm(*(x.denominator for row in g for x in row))
-    G = [[x.numerator * (D // x.denominator) for x in row] for row in g]
+    flat, D = linalg.clear_denominators([x for row in g for x in row])
+    G = [flat[i:i + n] for i in range(0, n * n, n)]
     X = M.coordinates_of(_column_minor_products(n, M.tableaux, G))
     scale = D ** M.lam.size
     return tuple(tuple(Fraction(x, scale) for x in row) for row in X)
@@ -513,24 +508,16 @@ def kempf_irreducibility_check(n: int) -> KempfResult:
         return KempfResult(True, True, True, True)
 
     # character of (D, E) on x_ij is d_i e_j; as characters of the torus
-    # {det = 1 on both factors}, chi_ij = chi_kl iff e_i - e_k and f_j - f_l
-    # are both integer multiples of the all-ones vector
-    def is_multiple_of_ones(vec: list[int]) -> bool:
-        return len(set(vec)) <= 1
+    # {det = 1 on both factors}, chi_ij = chi_kl iff e_i - e_k and e_j - e_l
+    # are both integer multiples of the all-ones vector, so a character is
+    # keyed by (e_i - e_i[0] * 1, e_j - e_j[0] * 1)
+    def unit_mod_ones(i: int) -> tuple[int, ...]:
+        e = [int(t == i) for t in range(n)]
+        return tuple(x - e[0] for x in e)
 
-    distinct = True
-    coords = [(i, j) for i in range(n) for j in range(n)]
-    for a in range(len(coords)):
-        for b in range(a + 1, len(coords)):
-            (i, j), (k, l) = coords[a], coords[b]
-            e_diff = [0] * n
-            e_diff[i] += 1
-            e_diff[k] -= 1
-            f_diff = [0] * n
-            f_diff[j] += 1
-            f_diff[l] -= 1
-            if is_multiple_of_ones(e_diff) and is_multiple_of_ones(f_diff):
-                distinct = False
+    keys = {(unit_mod_ones(i), unit_mod_ones(j))
+            for i in range(n) for j in range(n)}
+    distinct = len(keys) == n * n
 
     # transitivity of S_n x S_n on the coordinate grid, by orbit growth
     gens = perm_generators(n)

@@ -105,6 +105,15 @@ class TestEhrhart:
         assert out["payload"]["values"] == [1, 2, 2, 3, 3, 4]
         assert out["payload"]["fit"]["period"] == 2
 
+    def test_negative_skip_prefix_refused(self, capsys, tmp_path):
+        path = tmp_path / "half.json"
+        path.write_text(json.dumps({"A": [["1"], ["-1"]], "b": ["1/2", "0"]}))
+        code, out = invoke(capsys, "ehrhart", "--polytope", str(path),
+                           "--series", "8", "--fit", "--skip-prefix", "-1")
+        assert code == 1
+        assert out["payload"]["error"] == {
+            "type": "ValueError", "message": "skip_prefix must be nonnegative"}
+
     def test_max_degree_flag_zero_taken_as_given(self, capsys, tmp_path):
         # the flag bypasses the config file's >= 1 check: degree 0 fits the
         # constant series of the point {x = 0}

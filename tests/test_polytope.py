@@ -613,15 +613,23 @@ class TestFit:
         qp = fit_quasipolynomial(values, 4, 6, 2)
         assert [qp.eval(k) for k in range(1, 8)] == values
 
+    def test_negative_skip_prefix_refused(self):
+        # the counts of [0, k/2]: period 2, which skip_prefix=0 fits
+        values = [k // 2 + 1 for k in range(1, 9)]
+        assert fit_quasipolynomial(values, 2, 1, 2).period == 2
+        with pytest.raises(ValueError, match="skip_prefix must be nonnegative"):
+            fit_quasipolynomial(values, 2, 1, 2, skip_prefix=-1)
 
-def reference_fit(values, max_period, max_degree, holdout):
+
+def reference_fit(values, max_period, max_degree, holdout, skip_prefix=0):
     """Independent oracle: per residue class, the exact interpolant through
     every fitting value (a Vandermonde solve), rejected above max_degree."""
     K = len(values)
     for period in range(1, max_period + 1):
         comps = []
         for r in range(period):
-            pts = [(k, F(values[k - 1])) for k in range(1, K - holdout + 1)
+            pts = [(k, F(values[k - 1]))
+                   for k in range(skip_prefix + 1, K - holdout + 1)
                    if k % period == r]
             if not pts:
                 break
@@ -635,16 +643,39 @@ def reference_fit(values, max_period, max_degree, holdout):
             comps.append(tuple(coeffs))
         else:
             qp = QuasiPolynomial(period, tuple(comps))
-            if all(qp.eval(k) == values[k - 1] for k in range(1, K + 1)):
+            if all(qp.eval(k) == values[k - 1]
+                   for k in range(skip_prefix + 1, K + 1)):
                 return qp
     return None
 
 
-def fit_or_none(values, max_period, max_degree, holdout):
+def fit_or_none(values, max_period, max_degree, holdout, skip_prefix=0):
     try:
-        return fit_quasipolynomial(values, max_period, max_degree, holdout)
+        return fit_quasipolynomial(values, max_period, max_degree, holdout,
+                                   skip_prefix)
     except FitError:
         return None
+
+
+@st.composite
+def fit_cases(draw):
+    """A random quasi-polynomial's values at k = 1..K, period 1-4, degree
+    0-4 and rational coefficients, perhaps with one value perturbed, and
+    random fit bounds that leave at least one fitting value."""
+    period = draw(st.integers(1, 4))
+    degree = draw(st.integers(0, 4))
+    comps = [draw(st.lists(small_rationals, min_size=1, max_size=degree + 1))
+             for _ in range(period)]
+    holdout = draw(st.integers(1, 3))
+    skip_prefix = draw(st.integers(0, 2))
+    K = draw(st.integers(skip_prefix + holdout + 1, 20))
+    values = [sum(c * k ** i for i, c in enumerate(comps[k % period]))
+              for k in range(1, K + 1)]
+    if draw(st.booleans()):
+        values[draw(st.integers(0, K - 1))] += draw(
+            small_rationals.filter(bool))
+    return (values, draw(st.integers(1, 5)), draw(st.integers(-1, 6)),
+            holdout, skip_prefix)
 
 
 class TestFitAgainstReference:
@@ -691,6 +722,11 @@ class TestFitAgainstReference:
         for max_degree in range(-1, 4):
             assert fit_or_none(values, 3, max_degree, 2) == \
                 reference_fit(values, 3, max_degree, 2)
+
+    @given(fit_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_random_quasipolynomials(self, case):
+        assert fit_or_none(*case) == reference_fit(*case)
 
 
 class TestSerialization:

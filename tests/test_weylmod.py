@@ -1,7 +1,7 @@
 import hashlib
 import itertools
 import random
-from dataclasses import replace
+from dataclasses import astuple, replace
 from fractions import Fraction as F
 
 import pytest
@@ -813,12 +813,25 @@ class TestKempf:
     def test_bool_protocol(self):
         assert kempf_irreducibility_check(2)
 
+    def test_flags_pinned(self):
+        assert astuple(kempf_irreducibility_check(1)) == \
+            (True, True, True, True)
+        for n in range(2, 7):
+            assert astuple(kempf_irreducibility_check(n)) == \
+                (True, False, True, True)
+
 
 class TestMultiPoly:
     def test_arithmetic(self):
         x_plus_y = poly_sum(variable(2, 0), variable(2, 1))
         p = x_plus_y * x_plus_y
         assert p.terms == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
+
+    def test_product_drops_cancelled_terms(self):
+        x, y = variable(2, 0), variable(2, 1)
+        p = poly_sum(x, y) * poly_sum(x, y.scale(-1))
+        assert p.terms == {(2, 0): 1, (0, 2): -1}
+        assert (x * MultiPoly(2)).is_zero()
 
     def test_to_string_stable(self):
         x, y = variable(2, 0), variable(2, 1)
