@@ -1,0 +1,116 @@
+#!/usr/bin/env python3
+"""Print the output of a fixed list of CLI calls, one JSON line per call,
+with every timing removed, so that two trees can be compared by ``diff``.
+
+The calls are every line of the README's "Command line" block, ``lr coeff``,
+``lr positive`` and ``lr stretch --k 7`` on the ten acceptance stretch
+queries, and ``ehrhart --series 6``, plain and with ``--fit``, on four
+polytope files: pinned equalities, an equality with c != 0, an equality
+that reads 0 = k*b + c, and an unbounded one. They run in process through ``weylbox.cli.run``, in a
+temporary directory that holds the files under relative names. Each line is
+the call's JSON output plus its exit code, keys sorted, without
+``wall_time_s`` and without any ``seconds`` field.
+
+Example:
+    PYTHONPATH=src python scripts/cli_payloads.py > after.jsonl
+    diff before.jsonl after.jsonl
+"""
+
+import contextlib
+import io
+import json
+import os
+import shlex
+import tempfile
+from pathlib import Path
+
+from weylbox.acceptance import STRETCH_QUERIES
+from weylbox.cli import run
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+FILES = {
+    # the two files the README block reads
+    "cube2.json": {"A": [["1", "0"], ["-1", "0"], ["0", "1"], ["0", "-1"]],
+                   "b": ["1", "0", "1", "0"]},
+    "half.json": {"A": [["1"], ["-1"]], "b": ["1/2", "0"]},
+    # x + y = k, then z = k once x is substituted away, and 2x - 2w <= 0
+    # with w - x <= 0, a pair once both rows are primitive
+    "pairs.json": {
+        "A": [["1", "1", "0", "0"], ["-1", "-1", "0", "0"],
+              ["1", "1", "1", "0"], ["0", "0", "-1", "0"],
+              ["2", "0", "0", "-2"], ["-1", "0", "0", "1"],
+              ["-1", "0", "0", "0"], ["0", "-1", "0", "0"],
+              ["0", "0", "0", "-1"], ["0", "1", "0", "0"]],
+        "b": ["1", "-1", "2", "-1", "0", "0", "0", "0", "0", "1"]},
+    # 0 <= x <= k/2 + 1, y >= 0 and x + y = k + 1
+    "offset.json": {"A": [["1", "0"], ["-1", "0"], ["0", "-1"],
+                          ["1", "1"], ["-1", "-1"]],
+                    "b": ["1/2", "0", "0", "1", "-1"],
+                    "c": ["1", "0", "0", "1", "-1"]},
+    # x = k, x = 2 and 0 <= y <= k: x - k = 0 pins nothing
+    "constant.json": {"A": [["1", "0"], ["-1", "0"], ["1", "0"], ["-1", "0"],
+                            ["0", "1"], ["0", "-1"]],
+                      "b": ["1", "-1", "0", "0", "1", "0"],
+                      "c": ["0", "0", "2", "-2", "0", "0"]},
+    # x >= 0
+    "unbounded.json": {"A": [["-1"]], "b": ["0"]},
+}
+
+
+def readme_calls() -> list[list[str]]:
+    """The README's "Command line" block, without the leading ``weylbox``."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    calls = []
+    for line in block.splitlines():
+        argv = shlex.split(line, comments=True)
+        if argv:
+            assert argv[0] == "weylbox", argv
+            calls.append(argv[1:])
+    return calls
+
+
+def calls() -> list[list[str]]:
+    out = readme_calls()
+    for raw in STRETCH_QUERIES:
+        labels = [",".join(map(str, p)) for p in raw]
+        out += [["lr", "coeff", *labels], ["lr", "positive", *labels],
+                ["lr", "stretch", *labels, "--k", "7"]]
+    for name in ("pairs.json", "offset.json", "constant.json", "unbounded.json"):
+        series = ["ehrhart", "--polytope", name, "--series", "6"]
+        out += [series, [*series, "--fit"]]
+    return out
+
+
+def masked(data):
+    """data without its ``wall_time_s`` and ``seconds`` fields, at any depth."""
+    if isinstance(data, dict):
+        return {key: masked(value) for key, value in data.items()
+                if key not in ("wall_time_s", "seconds")}
+    if isinstance(data, list):
+        return [masked(value) for value in data]
+    return data
+
+
+def main():
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, data in FILES.items():
+                Path(name).write_text(json.dumps(data))
+            for argv in calls():
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    code = run(argv)
+                line = masked(json.loads(out.getvalue()))
+                line["exit"] = code
+                print(json.dumps(line, sort_keys=True))
+        finally:
+            os.chdir(home)
+
+
+if __name__ == "__main__":
+    main()

@@ -110,7 +110,8 @@ def criterion_lr_stretch(budgets: Budgets) -> str:
 
 def criterion_plethysm_oracle(budgets: Budgets) -> str:
     """Frozen small plethysms plus the dimension identity
-    sum_lam a^lam * dim V_lam(GL_n) = #SSYT(pi, dim V_mu(GL_n))."""
+    sum_lam a^lam * dim V_lam(GL_n) = #SSYT(pi, dim V_mu(GL_n)); two
+    scaled-label series fit within the budgets' period and degree."""
     got = plethysm_expand(Partition((2,)), Partition((2,)), budgets)
     if got != {Partition((4,)): 1, Partition((2, 2)): 1}:
         raise AssertionError(f"plethysm (2)[(2)] = {got}")
@@ -142,8 +143,8 @@ def criterion_plethysm_oracle(budgets: Budgets) -> str:
         expansion = plethysm_expand(Partition((k,)), mu, budgets)
         rows.append(expansion.get(Partition((2 * k,)), 0))
         diag.append(expansion.get(Partition((k, k)), 0))
-    row_fit = fit_quasipolynomial(rows, 4, 6, 2)
-    diag_fit = fit_quasipolynomial(diag, 4, 6, 2)
+    row_fit = fit_quasipolynomial(rows, budgets.max_period, budgets.max_degree, 2)
+    diag_fit = fit_quasipolynomial(diag, budgets.max_period, budgets.max_degree, 2)
     if rows != [1, 1, 1, 1] or row_fit.period != 1:
         raise AssertionError(f"single-row stretch is {rows}")
     if diag != [0, 1, 0, 1] or diag_fit.period != 2:
@@ -270,7 +271,7 @@ def criterion_kempf(budgets: Budgets) -> str:
 def criterion_ehrhart_kernel(budgets: Budgets) -> str:
     """Unit-cube dilations count (k+1)^n for n <= 3, k <= 5, along both the
     dilation and the parametrized pathway; the half-interval fits period 2
-    exactly with 2 holdout points."""
+    exactly with 2 holdout points, within the budgets' period and degree."""
     for n in (1, 2, 3):
         A, b = [], []
         for i in range(n):
@@ -295,7 +296,7 @@ def criterion_ehrhart_kernel(budgets: Budgets) -> str:
     values = ehrhart_counts(half, 6)
     if values != (1, 2, 2, 3, 3, 4):
         raise AssertionError(f"half-interval counts are {values}")
-    fit = fit_quasipolynomial(values, max_period=4, max_degree=6, holdout=2)
+    fit = fit_quasipolynomial(values, budgets.max_period, budgets.max_degree, 2)
     if fit.period != 2:
         raise AssertionError(f"half-interval period {fit.period} != 2")
     return "cube counts on both pathways; half-interval fits period 2"

@@ -8,17 +8,19 @@ returned values. One type holds every polyhedron: a family
 family at k = 1. Inside, every constraint is a primitive integer row and the
 inner loops run on Python integers: a family is reduced once for every k
 (``_Reduced``, which also takes integer rows as they are, as the LR hive
-does) and only its right-hand side is rescaled per k, linear programs go
-through one fraction-free simplex with Bland's rule, integer points are
-counted by a DFS over the reduced rows, and a quasi-polynomial fit puts
-the values over one common denominator, decides each period by integer
-forward differences per residue class and expands only the period that
-fits, from each class's Newton form. The DFS follows a row plan made once
-per family (which rows bound each coordinate, split by sign), so a k only
-supplies its right-hand side, box and caps; it closes its last two levels,
-counting the last coordinate for each value of the one before instead of
-recursing into it, whenever no pinned coordinate needs an integrality
-test, which a pin with pivot 1 never does. Answers are exact.
+does) by one worklist that pins each +/- pair of rows as it appears and
+substitutes the pin into the other rows, and only its right-hand side is
+rescaled per k, linear programs go through one fraction-free simplex with
+Bland's rule, integer points are counted by a DFS over the reduced rows,
+and a quasi-polynomial fit puts the values over one common denominator,
+decides each period by integer forward differences per residue class and
+expands only the period that fits, from each class's Newton form. The DFS
+follows a row plan made once per family (which rows bound each coordinate,
+split by sign), so a k only supplies its right-hand side, box and caps; it
+closes its last two levels, counting the last coordinate for each value of
+the one before instead of recursing into it, whenever no pinned coordinate
+needs an integrality test, which a pin with pivot 1 never does. Answers
+are exact.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from math import gcd
 from operator import mul, neg
 from typing import Sequence
 
-from .linalg import _primitive_int_row, clear_denominators, echelon
+from .linalg import _primitive_int_row, clear_denominators
 
 
 class InfeasibleError(ValueError):
@@ -308,31 +310,15 @@ def _propagated_box(A, b, nvars: int):
 # the integer core: a family {x : Ax <= k*b + c}, reduced once for every k
 # ---------------------------------------------------------------------------
 
-def _split_equalities(rows):
-    """Split primitive integer rows into equalities (one row of each +/- pair)
-    and the rows left over. Primitive rows make a pair whatever positive
-    multiples of each other its two rows were given as."""
-    unpaired: dict[tuple[int, ...], list[int]] = {}
-    eqs, paired = [], set()
-    for i, row in enumerate(rows):
-        partners = unpaired.get(tuple(map(neg, row)))
-        if partners:
-            paired.update((i, partners.pop()))
-            eqs.append(row)
-        else:
-            unpaired.setdefault(row, []).append(i)
-    return eqs, [row for i, row in enumerate(rows) if i not in paired]
-
-
-def _substitute(row, pinned) -> tuple[int, ...]:
-    """Eliminate every pinned coordinate from an integer row (a, b, c) with
-    the echelon rows that pin them, scaling by their positive pivots only,
-    and divide the result by its gcd (every row here is already integer)."""
-    for prow, pc in pinned:
-        f = row[pc]
-        if f:
-            p = prow[pc]
-            row = [p * x - f * y for x, y in zip(row, prow)]
+def _substitute(row, pc, prow) -> tuple[int, ...]:
+    """Eliminate coordinate pc from an integer row (a, b, c) with the pin
+    prow, whose pivot prow[pc] is positive, and divide the result by its gcd
+    (every row here is already integer)."""
+    f = row[pc]
+    if not f:
+        return row
+    p = prow[pc]
+    row = [p * x - f * y for x, y in zip(row, prow)]
     g = gcd(*row)
     return tuple(v // g for v in row) if g > 1 else tuple(row)
 
@@ -343,13 +329,17 @@ class _Reduced:
 
     Each row (a, b, c) is scaled to a primitive integer tuple, so a row and
     a positive multiple of its negation hash to a +/- pair: an equality
-    a.x = k*b + c. The equalities go to integer echelon form, each echelon
-    row pins one coordinate, and the pinned coordinates are substituted into
-    the other rows; the pair search repeats on the substituted rows until no
-    new pair appears. ``free`` lists the surviving coordinates and ``A``,
-    ``b``, ``c`` their rows. ``consts`` holds (b, c) for each condition
-    0 <= k*b + c left with no coefficient (both sides of an equality that
-    reads 0 = k*b + c among them).
+    a.x = k*b + c. The rows sit in one dict, worked as a list: while some
+    row's negation is also there, the pair leaves it and pins its least
+    nonzero coordinate, with a positive pivot, and that pin is substituted
+    into the earlier pins and into every row left, which may make the next
+    pair. So the pins stay in reduced echelon form, which is unique for the
+    equalities found whatever order the pairs turn up in. A pair with no
+    coordinate left, 0 = k*b + c, pins nothing: it goes to ``consts`` as
+    both 0 <= k*b + c and 0 <= -(k*b + c), which hold together at one k
+    at most. ``free`` lists the surviving coordinates and ``A``, ``b``,
+    ``c`` their rows. ``consts`` holds (b, c) for each condition
+    0 <= k*b + c left with no coefficient.
 
     ``count`` runs a DFS over the free coordinates on ``_plan``, the rows
     that bound each coordinate split by sign, which depends on the family
@@ -361,25 +351,30 @@ class _Reduced:
 
     def __init__(self, A, b, c=None):
         n = len(A[0]) if A else 0
-        rows = [tuple(_primitive_int_row([*row, bv, cv]))
-                for row, bv, cv in zip(A, b, c or [0] * len(b))]
-        reduced, pivots, pinned = [], [], []
-        while True:
-            new, rows = _split_equalities(rows)
-            if not new:
-                break
-            # the rows of the last round are already reduced: only the new
-            # equalities do any elimination work
-            reduced, pivots = echelon(reduced + new, n + 2)
-            pinned = [(row, pc) for row, pc in zip(reduced, pivots) if pc < n]
-            rows = [_substitute(row, pinned) for row in rows]
-        self.free = [j for j in range(n) if j not in pivots]
+        rows = dict.fromkeys(tuple(_primitive_int_row([*row, bv, cv]))
+                             for row, bv, cv in zip(A, b, c or [0] * len(b)))
+        pinned: dict[int, tuple[int, ...]] = {}
         self.consts = []
-        for row, pc in zip(reduced, pivots):
-            if pc >= n:  # no coordinate left: 0 = k*b + c
-                self.consts += [(row[n], row[n + 1]), (-row[n], -row[n + 1])]
+        while True:
+            row = next((r for r in rows if any(r) and tuple(map(neg, r)) in rows),
+                       None)
+            if row is None:
+                break
+            opposite = tuple(map(neg, row))
+            del rows[row], rows[opposite]
+            pc = next((j for j in range(n) if row[j]), None)
+            if pc is None:  # no coordinate left: 0 = k*b + c
+                self.consts += [row[n:], opposite[n:]]
+                continue
+            if row[pc] < 0:
+                row = opposite
+            pinned = {j: _substitute(prow, pc, row) for j, prow in pinned.items()}
+            pinned[pc] = row
+            rows = dict.fromkeys(_substitute(r, pc, row) for r in rows)
+        # the pins are the reduced echelon form, whatever the pair order
+        self.free = [j for j in range(n) if j not in pinned]
         self.A, self.b, self.c = [], [], []
-        for row in dict.fromkeys(rows):
+        for row in rows:
             coeffs = [row[j] for j in self.free]
             if any(coeffs):
                 self.A.append(coeffs)
@@ -390,7 +385,7 @@ class _Reduced:
         # per pinned coordinate: its pivot p, free coefficients and (b, c),
         # so that p * x_pc = k*b + c - coeffs . x_free
         self._pins = [(row[pc], [row[j] for j in self.free], row[n], row[n + 1])
-                      for row, pc in pinned]
+                      for pc, row in sorted(pinned.items())]
 
     def rhs(self, k: int) -> list[int] | None:
         """The right-hand sides k*b + c of the rows, or None when P(k) is

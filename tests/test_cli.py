@@ -400,6 +400,20 @@ class TestTopLevel:
         assert not result["passed"]
         assert result["detail"].startswith("BudgetError")
 
+    @pytest.mark.parametrize("key,bound,value", [
+        ("plethysm-oracle", "max_period", 1),
+        ("ehrhart-kernel", "max_period", 1),
+    ])
+    def test_config_fit_bound_reaches_acceptance(self, capsys, tmp_path, key,
+                                                 bound, value):
+        # both criteria fit a period-2 series, which period 1 cannot hold
+        path = config(tmp_path, **{bound: value})
+        code, out = invoke(capsys, "--config", path, "accept", "--only", key)
+        assert code == 1
+        [result] = out["payload"]["results"]
+        assert not result["passed"]
+        assert result["detail"].startswith("FitError")
+
     def test_config_missing_file_refused(self, capsys, tmp_path):
         code, out = invoke(capsys, "--config", str(tmp_path / "absent.json"),
                            "lr", "positive", "1", "1", "2")

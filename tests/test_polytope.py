@@ -1,17 +1,17 @@
 import json
 from fractions import Fraction as F
 from itertools import combinations, product
-from math import ceil, floor
-from operator import mul
+from math import ceil, floor, gcd
+from operator import mul, neg
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylbox import polytope
 from weylbox.acceptance import STRETCH_QUERIES
-from weylbox.linalg import det, solve_columns
-from weylbox.lr import LRQuery, _hive_side, _reduced_hive, lr_stretch
-from weylbox.partitions import Partition
+from weylbox.linalg import _primitive_int_row, det, echelon, solve_columns
+from weylbox.lr import LRQuery, _hive_rows, _hive_side, _reduced_hive, lr_stretch
+from weylbox.partitions import Partition, partitions_of
 from weylbox.polytope import (FitError, InfeasibleError, ParamPolytope,
                               QuasiPolynomial,
                               UnboundedPolytopeError, _coordinate_bounds,
@@ -578,6 +578,135 @@ class TestCountAgainstReference:
         expected = tuple(((k + 1) ** 2 + 1) // 2 for k in range(1, 6))
         assert reduced.counts(5) == expected == (2, 5, 8, 13, 18)
         assert expected == tuple(reference_count(reduced, k) for k in range(1, 6))
+
+
+def reference_reduced(A, b, c=None):
+    """The equality elimination that ``_Reduced.__init__`` replaced, kept as
+    its reference: rounds that split off every +/- pair of the current rows,
+    bring all equalities so far to integer echelon form with
+    ``linalg.echelon`` (b and c columns included) and substitute the pins
+    into the rows left, until a round finds no pair. Returns the
+    ``_Reduced`` this state makes, with today's counting code, and whether
+    some equality was pinned on its b or c column."""
+
+    def _split_equalities(rows):
+        unpaired: dict[tuple[int, ...], list[int]] = {}
+        eqs, paired = [], set()
+        for i, row in enumerate(rows):
+            partners = unpaired.get(tuple(map(neg, row)))
+            if partners:
+                paired.update((i, partners.pop()))
+                eqs.append(row)
+            else:
+                unpaired.setdefault(row, []).append(i)
+        return eqs, [row for i, row in enumerate(rows) if i not in paired]
+
+    def _substitute(row, pinned) -> tuple[int, ...]:
+        for prow, pc in pinned:
+            f = row[pc]
+            if f:
+                p = prow[pc]
+                row = [p * x - f * y for x, y in zip(row, prow)]
+        g = gcd(*row)
+        return tuple(v // g for v in row) if g > 1 else tuple(row)
+
+    self = _Reduced.__new__(_Reduced)
+    n = len(A[0]) if A else 0
+    rows = [tuple(_primitive_int_row([*row, bv, cv]))
+            for row, bv, cv in zip(A, b, c or [0] * len(b))]
+    reduced, pivots, pinned = [], [], []
+    while True:
+        new, rows = _split_equalities(rows)
+        if not new:
+            break
+        # the rows of the last round are already reduced: only the new
+        # equalities do any elimination work
+        reduced, pivots = echelon(reduced + new, n + 2)
+        pinned = [(row, pc) for row, pc in zip(reduced, pivots) if pc < n]
+        rows = [_substitute(row, pinned) for row in rows]
+    self.free = [j for j in range(n) if j not in pivots]
+    self.consts = []
+    for row, pc in zip(reduced, pivots):
+        if pc >= n:  # no coordinate left: 0 = k*b + c
+            self.consts += [(row[n], row[n + 1]), (-row[n], -row[n + 1])]
+    self.A, self.b, self.c = [], [], []
+    for row in dict.fromkeys(rows):
+        coeffs = [row[j] for j in self.free]
+        if any(coeffs):
+            self.A.append(coeffs)
+            self.b.append(row[n])
+            self.c.append(row[n + 1])
+        else:
+            self.consts.append((row[n], row[n + 1]))
+    # per pinned coordinate: its pivot p, free coefficients and (b, c),
+    # so that p * x_pc = k*b + c - coeffs . x_free
+    self._pins = [(row[pc], [row[j] for j in self.free], row[n], row[n + 1])
+                  for row, pc in pinned]
+    return self, any(pc >= n for pc in pivots)
+
+
+def outcome(call):
+    """A call's value, or its exception's type and message."""
+    try:
+        return call()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def assert_reduces_like_reference(A, b, c, K):
+    reduced = _Reduced(A, b, c)
+    reference, bc_pinned = reference_reduced(A, b, c)
+    assert outcome(lambda: reduced.counts(K)) == outcome(lambda: reference.counts(K))
+    for k in range(1, K + 1):
+        assert reduced.feasible(k) == reference.feasible(k)
+    if not bc_pinned:
+        for field in ("free", "A", "b", "c", "_pins"):
+            assert getattr(reduced, field) == getattr(reference, field), field
+
+
+class TestReductionAgainstReference:
+    """The worklist of +/- pairs reduces a family as the rounds over
+    ``echelon`` did: the same counts, feasibility and errors, and the same
+    free coordinates, rows and pins unless the reference pinned an equality
+    0 = k*b + c on its b or c column, which the worklist keeps in
+    ``consts`` only."""
+
+    @given(st.one_of(families(), pinned_families()), st.integers(1, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_families(self, pp, K):
+        assert_reduces_like_reference(pp.A, pp.b, pp.c, K)
+
+    def test_oracle_triangle_hives(self):
+        # every hive of the lr-oracle-triangle range: |alpha|, |beta| <= 4,
+        # lengths <= 4
+        parts = [p for s in range(5) for p in partitions_of(s, max_length=4)]
+        for alpha, beta in product(parts, parts):
+            for lam in partitions_of(alpha.size + beta.size, max_length=4):
+                q = LRQuery(alpha, beta, lam)
+                A, b = _hive_rows(q, _hive_side(q, None))
+                assert_reduces_like_reference(A, b, None, 2)
+
+    def test_constant_equality(self):
+        # x = k and x = 2 as two pairs: x - k = 0 pins nothing, and P(k) is
+        # the point x = 2 at k = 2 and empty at every other k
+        pp = ParamPolytope(((F(1),), (F(-1),), (F(1),), (F(-1),)),
+                           (F(1), F(-1), F(0), F(0)), (F(0), F(0), F(2), F(-2)))
+        assert ehrhart_counts(pp, 4) == (0, 1, 0, 0)
+        reduced = _Reduced(pp.A, pp.b, pp.c)
+        assert [reduced.feasible(k) for k in range(1, 5)] == [False, True, False, False]
+        assert reference_reduced(pp.A, pp.b, pp.c)[0].counts(4) == (0, 1, 0, 0)
+
+    def test_constant_equality_with_free_coordinate(self):
+        # the same with 0 <= y <= k: y is left free, three points at k = 2
+        pp = ParamPolytope(((F(1), F(0)), (F(-1), F(0)), (F(1), F(0)), (F(-1), F(0)),
+                            (F(0), F(1)), (F(0), F(-1))),
+                           (F(1), F(-1), F(0), F(0), F(1), F(0)),
+                           (F(0), F(0), F(2), F(-2), F(0), F(0)))
+        assert ehrhart_counts(pp, 4) == (0, 3, 0, 0)
+        reduced = _Reduced(pp.A, pp.b, pp.c)
+        assert reduced.free == [1]
+        assert [reduced.feasible(k) for k in range(1, 5)] == [False, True, False, False]
+        assert reference_reduced(pp.A, pp.b, pp.c)[0].counts(4) == (0, 3, 0, 0)
 
 
 class TestFit:
