@@ -4,16 +4,23 @@ with every timing removed, so that two trees can be compared by ``diff``.
 
 The calls are every line of the README's "Command line" block, ``lr coeff``,
 ``lr positive`` and ``lr stretch --k 7`` on the ten acceptance stretch
-queries, and ``ehrhart --series 6``, plain and with ``--fit``, on four
-polytope files: pinned equalities, an equality with c != 0, an equality
-that reads 0 = k*b + c, and an unbounded one. They run in process through ``weylbox.cli.run``, in a
-temporary directory that holds the files under relative names. Each line is
-the call's JSON output plus its exit code, keys sorted, without
+queries, ``ehrhart --series 6``, plain and with ``--fit``, on four
+polytope files (pinned equalities, an equality with c != 0, an equality
+that reads 0 = k*b + c, and an unbounded one), ``weyl invariants`` on every
+gamma of 2n with at most n parts for n = 2..4 (refusals included),
+``weyl dim --basis`` on (2,1) and (3,2) at n = 3, and ``weyl symcheck`` for
+det and perm at sizes 2 and 3; a call already in the README block is not
+repeated. They run in process through ``weylbox.cli.run``, in a temporary
+directory that holds the files under relative names. Each line is the
+call's JSON output plus its exit code, keys sorted, without
 ``wall_time_s`` and without any ``seconds`` field.
+
+``tests/cli_payloads.jsonl`` holds this output, and a tier-1 test compares
+it call by call; a change that alters a payload updates that file.
 
 Example:
     PYTHONPATH=src python scripts/cli_payloads.py > after.jsonl
-    diff before.jsonl after.jsonl
+    diff tests/cli_payloads.jsonl after.jsonl
 """
 
 import contextlib
@@ -26,6 +33,7 @@ from pathlib import Path
 
 from weylbox.acceptance import STRETCH_QUERIES
 from weylbox.cli import run
+from weylbox.partitions import partitions_of
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -80,7 +88,12 @@ def calls() -> list[list[str]]:
     for name in ("pairs.json", "offset.json", "constant.json", "unbounded.json"):
         series = ["ehrhart", "--polytope", name, "--series", "6"]
         out += [series, [*series, "--fit"]]
-    return out
+    weyl = [["weyl", "invariants", "--gamma", gamma.serialize(), "--n", str(n)]
+            for n in (2, 3, 4) for gamma in partitions_of(2 * n, max_length=n)]
+    weyl += [["weyl", "dim", lam, "3", "--basis"] for lam in ("2,1", "3,2")]
+    weyl += [["weyl", "symcheck", kind, "--size", size]
+             for kind in ("det", "perm") for size in ("2", "3")]
+    return out + [argv for argv in weyl if argv not in out]
 
 
 def masked(data):
@@ -93,7 +106,8 @@ def masked(data):
     return data
 
 
-def main():
+def payload_lines():
+    """One JSON line per call of ``calls()``, as ``main`` prints them."""
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
@@ -107,9 +121,14 @@ def main():
                     code = run(argv)
                 line = masked(json.loads(out.getvalue()))
                 line["exit"] = code
-                print(json.dumps(line, sort_keys=True))
+                yield json.dumps(line, sort_keys=True)
         finally:
             os.chdir(home)
+
+
+def main():
+    for line in payload_lines():
+        print(line)
 
 
 if __name__ == "__main__":

@@ -2,8 +2,8 @@
 
 Every subcommand prints a single JSON object: the command echo, a
 deterministic payload, a wall-time stamp and the package version. Exit codes:
-0 on success, 1 on a domain error (with a machine-readable error object),
-2 on usage errors.
+0 on success, 1 on a domain error (with a machine-readable error object) or
+when the reader closes stdout early, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -315,7 +315,17 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # the reader closed stdout early (`weylbox magic 4 4 | head -c 50`):
+        # point stdout at devnull so the flush at exit cannot raise again,
+        # and exit 1 as Python does on EPIPE
+        import os
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

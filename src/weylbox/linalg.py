@@ -28,11 +28,12 @@ def clear_denominators(row) -> tuple[list[int], int]:
 def _primitive_int_row(row) -> list[int]:
     """Scale a row of ints (bools included) and Fractions to a primitive
     integer row (gcd 1, or all zero)."""
-    ints = clear_denominators(row)[0]
-    g = gcd(*ints)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+    try:
+        g = gcd(*row)
+    except TypeError:  # Fractions: clear the denominators first
+        row = clear_denominators(row)[0]
+        g = gcd(*row)
+    return [v // g for v in row] if g > 1 else [+v for v in row]  # +bool is int
 
 
 def _sparse_row(row) -> dict[int, int]:

@@ -20,8 +20,10 @@ operator maps a monomial to its image {monomial: coeff} and extends
 linearly; it is either a derivation sum x_t d/dx_s (``_shift``) or a
 relabelling f -> f(x_image) - f (``_relabel``). The highest weight line of
 a module is the kernel of the raising derivations E_{i,i+1} on its basis,
-and the permanent stabilizer's invariants in a weight space are the kernel
-of the column relabellings by S_n generators. The symmetry characterizations
+and the permanent stabilizer's invariants are the kernel of the column
+relabellings by S_n generators on the weight space of content (2, ..., 2)
+alone: only its e_T are built, and their number is checked against the
+Kostka number K_{gamma, (2^n)}. The symmetry characterizations
 of the determinant and the permanent, and the invariant-ring check in
 ``obstructions``, need no module: they take the kernel on the torus-fixed
 monomials. None of these builds an action matrix; ``group_action_matrix``
@@ -40,7 +42,7 @@ from operator import add
 from . import linalg
 from .config import DEFAULT, BudgetError, Budgets
 from .partitions import (Partition, Tableau, canonical_tableau, dim_weyl,
-                         enumerate_ssyt, weak_compositions)
+                         enumerate_ssyt, iter_ssyt, kostka, weak_compositions)
 
 
 class MultiPoly:
@@ -76,11 +78,20 @@ class MultiPoly:
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         out: dict[tuple[int, ...], object] = {}
+        get = out.get
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(map(add, e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return MultiPoly(self.nvars, out)  # __init__ drops cancelled terms
+                v = get(e, 0) + c1 * c2
+                if v:
+                    out[e] = v
+                else:  # cancelled
+                    out.pop(e, None)
+        # out holds tuple keys and no zero, so __init__ would only copy it
+        product = MultiPoly.__new__(MultiPoly)
+        product.nvars = self.nvars
+        product.terms = out
+        return product
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], object]]:
         return sorted(self.terms.items(), reverse=True)
@@ -174,15 +185,15 @@ def _column_minor_products(n: int, tableaux,
 
     out = []
     for T in tableaux:
-        poly = MultiPoly.constant(nv, 1)
+        poly = None
         for col in T.columns():
             cols = tuple(e - 1 for e in col)
             if cols not in factors:
                 factors[cols] = factor(cols)
-            poly = poly * factors[cols]
+            poly = factors[cols] if poly is None else poly * factors[cols]
             if poly.is_zero():
                 break
-        out.append(poly)
+        out.append(MultiPoly.constant(nv, 1) if poly is None else poly)
     return out
 
 
@@ -239,21 +250,34 @@ def weyl_module(lam: Partition, n: int,
     coefficient 1, no two the same. The SSYT count must equal dim_weyl,
     which is refused above ``weyl_dim_cap`` before any tableau is built."""
     lam = Partition(lam)
-    dim = dim_weyl(lam, n)
-    if dim > budgets.weyl_dim_cap:
-        raise BudgetError(f"dim {dim} exceeds cap {budgets.weyl_dim_cap}")
+    dim = _capped_dim(lam, n, budgets)
     tableaux = tuple(enumerate_ssyt(lam, n))
     if dim != len(tableaux):
         raise RuntimeError("tableau enumeration disagrees with dimension")
     basis = tuple(_column_minor_products(n, tableaux))
+    return WeylModuleModel(lam, n, tableaux, basis, _unitriangular_leads(basis))
+
+
+def _capped_dim(lam: Partition, n: int, budgets: Budgets) -> int:
+    """dim_weyl(lam, n), refused above ``weyl_dim_cap``."""
+    dim = dim_weyl(lam, n)
+    if dim > budgets.weyl_dim_cap:
+        raise BudgetError(f"dim {dim} exceeds cap {budgets.weyl_dim_cap}")
+    return dim
+
+
+def _unitriangular_leads(polys) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Each index with the leading monomial of its poly, by decreasing
+    monomial. Raises unless every lead has coefficient 1 and no two polys
+    share a lead, which makes the polys linearly independent."""
     leads = tuple(sorted(((i, max(p.terms, default=()))
-                          for i, p in enumerate(basis)),
+                          for i, p in enumerate(polys)),
                          key=lambda lead: lead[1], reverse=True))
-    if any(basis[i].terms.get(e) != 1 for i, e in leads) or \
-            len({e for _, e in leads}) != dim:
+    if any(polys[i].terms.get(e) != 1 for i, e in leads) or \
+            len({e for _, e in leads}) != len(polys):
         raise RuntimeError("basis is not unitriangular: leading monomials"
                            " repeat or have a coefficient other than 1")
-    return WeylModuleModel(lam, n, tableaux, basis, leads)
+    return leads
 
 
 def group_action_matrix(M: WeylModuleModel, g) -> tuple[tuple[Fraction, ...], ...]:
@@ -337,22 +361,38 @@ def fixed_subspace_dim(M: WeylModuleModel, perms, weight="any") -> int:
 def perm_stabilizer_invariants(gamma: Partition, n: int,
                                budgets: Budgets = DEFAULT) -> int:
     """Multiplicity of permanent-stabilizer invariants in the SL_n x SL_n
-    representation (trivial) (x) V_gamma, computed inside V_gamma(GL_n).
+    representation (trivial) (x) V_gamma, computed on the weight space of
+    content (2, ..., 2) of V_gamma(GL_n) alone.
 
     The stabilizer's torus forces the constant content (2, ..., 2), since
-    |gamma| = 2n; the discrete part acts through the S_n generators as plain
-    0/1 permutation matrices, that is by relabelling the columns of Z (this
-    lift convention is validated by the even-partition acceptance gate). The
-    transpose flip of the full stabilizer does not preserve the factor
-    (trivial) (x) V_gamma and is deliberately omitted.
+    |gamma| = 2n (Gay 1976); the discrete part acts through the S_n
+    generators as plain 0/1 permutation matrices, that is by relabelling the
+    columns of Z (this lift convention is validated by the even-partition
+    acceptance gate). The transpose flip of the full stabilizer does not
+    preserve the factor (trivial) (x) V_gamma and is deliberately omitted.
+
+    Only the e_T of that content are built. Their number must equal the
+    Kostka number K_{gamma, (2^n)} from the horizontal-strip recursion, and
+    their leads must be distinct with coefficient 1, so they are a basis of
+    the weight space. The rest of the module, whose size ``weyl_dim_cap``
+    bounds as for ``weyl_module``, is never built.
     """
     gamma = Partition(gamma)
     if gamma.size != 2 * n:
         raise ValueError(f"|gamma| = {gamma.size} must equal 2n = {2 * n}")
     if len(gamma) > n:
         raise ValueError(f"length {len(gamma)} exceeds n = {n}")
-    M = weyl_module(gamma, n, budgets)
-    return fixed_subspace_dim(M, perm_generators(n), weight=(2,) * n)
+    _capped_dim(gamma, n, budgets)
+    content = sorted([*range(1, n + 1)] * 2)  # (2, ..., 2), entries sorted
+    tableaux = [Tableau(rows) for rows in iter_ssyt(gamma, n)
+                if sorted(e for row in rows for e in row) == content]
+    if len(tableaux) != kostka(gamma, (2,) * n):
+        raise RuntimeError("weight-space enumeration disagrees with Kostka")
+    polys = _column_minor_products(n, tableaux)
+    _unitriangular_leads(polys)
+    return len(_monomial_kernel([p.terms for p in polys],
+                                [_column_relabel(n, p)
+                                 for p in perm_generators(n)]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -321,6 +325,24 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as exc:
             run(["frobnicate"])
         assert exc.value.code == 2
+
+    def test_closed_pipe_exits_1_without_traceback(self):
+        # the read end is closed before the command starts, so its first
+        # write meets a closed pipe whatever the timing
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "weylbox.cli", "magic", "4", "4"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert b"Traceback" not in proc.stderr
+        assert proc.stderr == b""
 
     def test_determinism(self, capsys):
         _, first = invoke(capsys, "symfunc", "product", "2,1", "2,1")

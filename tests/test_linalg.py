@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 from math import gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylbox import linalg
@@ -151,6 +152,22 @@ class TestIntegerRowsMatchFractionRows:
         assert all(type(v) is int for row in reduced for v in row)
         assert linalg.rank(rows, ncols) == linalg.rank(fracs, ncols)
         assert linalg.nullspace(rows, ncols) == linalg.nullspace(fracs, ncols)
+
+    @pytest.mark.parametrize("row,expected", [
+        ([2, 4, -6], [1, 2, -3]),
+        ([3, 5], [3, 5]),
+        ([True, False, True], [1, 0, 1]),
+        ([F(1, 2), F(1, 3), F(1)], [3, 2, 6]),
+        ([F(4), F(-6)], [2, -3]),
+        ([True, F(1, 2), 3], [2, 1, 6]),
+        ([6, F(3, 2), True], [12, 3, 2]),
+        ([0, 0, 0], [0, 0, 0]),
+        ([F(0), False], [0, 0]),
+    ])
+    def test_primitive_int_row(self, row, expected):
+        got = linalg._primitive_int_row(row)
+        assert got == expected == _primitive(row)
+        assert all(type(v) is int for v in got)
 
     def test_primitive_rows(self):
         assert linalg.echelon([[2, 4, 6], [0, 0, 0]], 3) == ([[1, 2, 3]], [0])

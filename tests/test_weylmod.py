@@ -509,6 +509,59 @@ class TestPermStabilizerInvariants:
                 positive = perm_stabilizer_invariants(gamma, n) > 0
                 assert positive == is_even(gamma), gamma
 
+    @pytest.mark.parametrize("budgets", [DEFAULT,
+                                         replace(DEFAULT, weyl_dim_cap=400)])
+    def test_matches_the_module_route(self, budgets):
+        # the route the weight-space computation replaced: the whole module,
+        # then its (2, ..., 2) weight space; refusals must match too
+        def outcome(route, gamma, n):
+            try:
+                return route(gamma, n)
+            except BudgetError as exc:
+                return str(exc)
+
+        def module_route(gamma, n):
+            return fixed_subspace_dim(weyl_module(gamma, n, budgets),
+                                      perm_generators(n), (2,) * n)
+
+        def weight_route(gamma, n):
+            return perm_stabilizer_invariants(gamma, n, budgets)
+
+        cases = [(gamma, n) for n in range(5)
+                 for gamma in partitions_of(2 * n, max_length=n)]
+        assert len(cases) == 27
+        got = [outcome(weight_route, *case) for case in cases]
+        assert got == [outcome(module_route, *case) for case in cases]
+        refused = sum(isinstance(v, str) for v in got)
+        assert refused == (4 if budgets is DEFAULT else 0)
+
+    def test_refused_before_any_tableau(self, monkeypatch):
+        def no_tableaux(*args):
+            raise AssertionError("tableaux enumerated past the cap")
+
+        monkeypatch.setattr(weylmod, "iter_ssyt", no_tableaux)
+        with pytest.raises(BudgetError, match="dim 360 exceeds cap 200"):
+            perm_stabilizer_invariants(P((6, 2)), 4)
+
+    def test_kostka_disagreement_raises(self, monkeypatch):
+        real = weylmod.kostka
+        monkeypatch.setattr(weylmod, "kostka",
+                            lambda lam, content: real(lam, content) + 1)
+        with pytest.raises(RuntimeError, match="Kostka"):
+            perm_stabilizer_invariants(P((4, 2)), 3)
+
+    def test_repeated_lead_raises(self, monkeypatch):
+        real = weylmod._column_minor_products
+
+        def repeated(n, tableaux, G=None):
+            out = real(n, tableaux, G)
+            return out[:1] + out[:-1]
+
+        assert weylmod.kostka(P((4, 2)), (2, 2, 2)) > 1
+        monkeypatch.setattr(weylmod, "_column_minor_products", repeated)
+        with pytest.raises(RuntimeError, match="unitriangular"):
+            perm_stabilizer_invariants(P((4, 2)), 3)
+
     def test_preconditions(self):
         with pytest.raises(ValueError, match="2n"):
             perm_stabilizer_invariants(P((3,)), 2)
@@ -826,6 +879,35 @@ class TestMultiPoly:
         x_plus_y = poly_sum(variable(2, 0), variable(2, 1))
         p = x_plus_y * x_plus_y
         assert p.terms == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_product_matches_literal_reference(self, data):
+        nv = data.draw(st.integers(1, 4))
+        coeffs = data.draw(st.sampled_from([
+            st.integers(-3, 3),
+            st.fractions(min_value=-2, max_value=2, max_denominator=3)]))
+
+        def poly():
+            return MultiPoly(nv, data.draw(st.dictionaries(
+                st.tuples(*[st.integers(0, 2)] * nv), coeffs, max_size=4)))
+
+        def literal(p, q):
+            out = {}
+            for e1, c1 in p.terms.items():
+                for e2, c2 in q.terms.items():
+                    e = tuple(a + b for a, b in zip(e1, e2))
+                    out[e] = out.get(e, 0) + c1 * c2
+            return {e: c for e, c in out.items() if c != 0}
+
+        p, q, u, v = poly(), poly(), poly(), poly()
+        # (u + v)(u - v): the cross terms u*v and -v*u always cancel
+        pairs = [(p, q), (poly_sum(u, v), poly_sum(u, v.scale(-1)))]
+        for f, g in pairs:
+            product = f * g
+            assert product.nvars == nv
+            assert product.terms == literal(f, g)
+            assert all(c != 0 for c in product.terms.values())
 
     def test_product_drops_cancelled_terms(self):
         x, y = variable(2, 0), variable(2, 1)
