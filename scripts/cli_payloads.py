@@ -10,9 +10,12 @@ that reads 0 = k*b + c, and an unbounded one), ``weyl invariants`` on every
 gamma of 2n with at most n parts for n = 2..4 (refusals included),
 ``weyl dim --basis`` on (2,1) and (3,2) at n = 3, and ``weyl symcheck`` for
 det and perm at sizes 2 and 3; a call already in the README block is not
-repeated. They run in process through ``weylbox.cli.run``, in a temporary
-directory that holds the files under relative names. Each line is the
-call's JSON output plus its exit code, keys sorted, without
+repeated. Last come three longer series: ``ehrhart --series 20 --fit`` on
+a rotated polygon, which only the LP box bounds, ``ehrhart --series 10``
+on a 3-dimensional axis polytope and ``lr stretch --k 10`` on the first
+acceptance stretch query. They run in process through ``weylbox.cli.run``,
+in a temporary directory that holds the files under relative names. Each
+line is the call's JSON output plus its exit code, keys sorted, without
 ``wall_time_s`` and without any ``seconds`` field.
 
 ``tests/cli_payloads.jsonl`` holds this output, and a tier-1 test compares
@@ -63,6 +66,13 @@ FILES = {
                       "c": ["0", "0", "2", "-2", "0", "0"]},
     # x >= 0
     "unbounded.json": {"A": [["-1"]], "b": ["0"]},
+    # -1/3 <= x + y <= 1 and -1 <= x - y <= 1/3: propagation bounds nothing
+    "rotated.json": {"A": [["1", "1"], ["-1", "-1"], ["1", "-1"], ["-1", "1"]],
+                     "b": ["1", "1/3", "1/3", "1"]},
+    # x >= 0, x0 + x1 + x2 <= 2, x0 - x1 <= 1 and x1 + x2 <= 1
+    "axis3.json": {"A": [["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "-1"],
+                         ["1", "1", "1"], ["1", "-1", "0"], ["0", "1", "1"]],
+                   "b": ["0", "0", "0", "2", "1", "1"]},
 }
 
 
@@ -93,7 +103,11 @@ def calls() -> list[list[str]]:
     weyl += [["weyl", "dim", lam, "3", "--basis"] for lam in ("2,1", "3,2")]
     weyl += [["weyl", "symcheck", kind, "--size", size]
              for kind in ("det", "perm") for size in ("2", "3")]
-    return out + [argv for argv in weyl if argv not in out]
+    first = [",".join(map(str, p)) for p in STRETCH_QUERIES[0]]
+    long = [["ehrhart", "--polytope", "rotated.json", "--series", "20", "--fit"],
+            ["ehrhart", "--polytope", "axis3.json", "--series", "10"],
+            ["lr", "stretch", *first, "--k", "10"]]
+    return out + [argv for argv in weyl if argv not in out] + long
 
 
 def masked(data):

@@ -246,7 +246,7 @@ def criterion_obstruction_family(budgets: Budgets) -> str:
             f"expected 49 certificates, got {len(payload['certificates'])}")
     if elapsed >= 1.0:
         raise AssertionError(f"emission+structural took {elapsed:.3f}s >= 1s")
-    certs = list(emit_obstruction_family(50))
+    certs = list(emit_obstruction_family(50, budgets))
     for cert in certs:
         verify_obstruction(cert)
     for cert in certs[:2]:  # n = 2, 3
@@ -260,7 +260,7 @@ def criterion_kempf(budgets: Budgets) -> str:
     """The concrete stability criterion holds for n = 2, 3, 4."""
     t0 = time.perf_counter()
     for n in (2, 3, 4):
-        if not kempf_irreducibility_check(n):
+        if not kempf_irreducibility_check(n, budgets):
             raise AssertionError(f"Kempf criterion fails at n={n}")
     elapsed = time.perf_counter() - t0
     if elapsed >= 1.0:
@@ -284,7 +284,7 @@ def criterion_ehrhart_kernel(budgets: Budgets) -> str:
             A.append(tuple(row))
             b.append(Fraction(0))
         cube = ParamPolytope(tuple(A), tuple(b))
-        series = ehrhart_counts(cube, 5)
+        series = ehrhart_counts(cube, 5, budgets)
         for k in range(1, 6):
             expected = (k + 1) ** n
             if series[k - 1] != expected:
@@ -293,7 +293,7 @@ def criterion_ehrhart_kernel(budgets: Budgets) -> str:
                 raise AssertionError(f"dilation pathway wrong at n={n}, k={k}")
     half = ParamPolytope(((Fraction(1),), (Fraction(-1),)),
                          (Fraction(1, 2), Fraction(0)))
-    values = ehrhart_counts(half, 6)
+    values = ehrhart_counts(half, 6, budgets)
     if values != (1, 2, 2, 3, 3, 4):
         raise AssertionError(f"half-interval counts are {values}")
     fit = fit_quasipolynomial(values, budgets.max_period, budgets.max_degree, 2)

@@ -199,7 +199,7 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets) -> dict:
             payload["k"] = args.k
             payload["count"] = count_integer_points(pp.at(args.k))
         if args.series is not None:
-            values = ehrhart_counts(pp, args.series)
+            values = ehrhart_counts(pp, args.series, budgets)
             payload["values"] = list(values)
             if args.fit:
                 fit = fit_quasipolynomial(
@@ -239,7 +239,7 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets) -> dict:
                      for j in range(args.size)]
             return {"dimension": dim,
                     "fixed_line": [p.to_string(names) for p in basis]}
-        result = kempf_irreducibility_check(args.n)
+        result = kempf_irreducibility_check(args.n, budgets)
         return {"stable": result.stable, "degenerate": result.degenerate,
                 "torus_characters_distinct": result.torus_characters_distinct,
                 "permutations_transitive": result.permutations_transitive}
@@ -259,7 +259,7 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets) -> dict:
     if cmd == "obstruct":
         if args.obstruct_command == "emit":
             certs = [verify_obstruction(cert, args.full, budgets)
-                     for cert in emit_obstruction_family(args.max_n)]
+                     for cert in emit_obstruction_family(args.max_n, budgets)]
             payload = {"certificates": [c.to_json() for c in certs]}
             if args.out:
                 with open(args.out, "w") as fh:

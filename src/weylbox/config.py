@@ -26,6 +26,10 @@ class Budgets:
     hive_side_cap: int = 12         # side length of the triangular hive array
     magic_size_cap: int = 4         # n for n x n magic squares
     magic_weight_cap: int = 8       # weight r for magic squares
+    stretch_k_cap: int = 20         # K of an LR stretch series k = 1..K
+    series_k_cap: int = 64          # K of an Ehrhart series k = 1..K
+    emit_n_cap: int = 1000          # largest n of the emitted obstruction family
+    kempf_n_cap: int = 64           # n of the Kempf stability check
 
     @classmethod
     def from_json(cls, path: str) -> "Budgets":

@@ -264,10 +264,13 @@ def lr_stretch(q: LRQuery, K: int,
     The k-scaled hive polytope is the k-dilation of the unscaled one (same
     matrix, right-hand side times k; see ``hive_polytope``), so the one
     reduced hive of q is counted as an Ehrhart family, and fitted within
-    the budgets' period, degree and holdout.
+    the budgets' period, degree and holdout. K above ``stretch_k_cap`` is
+    refused with BudgetError before the hive is built.
     """
     if K < 4:
         raise ValueError("need K >= 4 for a meaningful stretch series")
+    if K > budgets.stretch_k_cap:
+        raise BudgetError(f"stretch K={K} exceeds cap {budgets.stretch_k_cap}")
     if budgets.holdout < 2:
         raise ValueError("holdout must be at least 2")
     if not q.sizes_match():

@@ -194,17 +194,19 @@ def n_bits(v: int) -> int:
     return max(v.bit_length(), 1)
 
 
-def emit_obstruction_family(N: int):
-    """Certificates for n = 2..N with the canonical choice gamma_n = (2n):
-    a single even row, so construction takes O(n) integer work and the
-    serialized label has O(log n) bits."""
+def emit_obstruction_family(N: int, budgets: Budgets = DEFAULT):
+    """Certificates for n = 2..N, made as they are read, with the canonical
+    choice gamma_n = (2n): a single even row, never empty, so construction
+    takes O(n) integer work and the serialized label has O(log n) bits. N
+    below 2 or above ``emit_n_cap`` is refused at the call, before any
+    certificate."""
     if N < 2:
         raise ValueError("N must be at least 2")
-    for n in range(2, N + 1):
-        gamma = Partition((2 * n,))
-        yield ObstructionCertificate(
-            n, gamma,
-            ObstructionChecks(even=True, alpha_neq_beta=bool(gamma)))
+    if N > budgets.emit_n_cap:
+        raise BudgetError(f"family N={N} exceeds cap {budgets.emit_n_cap}")
+    return (ObstructionCertificate(n, Partition((2 * n,)),
+                                   ObstructionChecks(even=True, alpha_neq_beta=True))
+            for n in range(2, N + 1))
 
 
 def verify_obstruction(cert: ObstructionCertificate, full: bool = False,

@@ -9,18 +9,19 @@ family at k = 1. Inside, every constraint is a primitive integer row and the
 inner loops run on Python integers: a family is reduced once for every k
 (``_Reduced``, which also takes integer rows as they are, as the LR hive
 does) by one worklist that pins each +/- pair of rows as it appears and
-substitutes the pin into the other rows, and only its right-hand side is
-rescaled per k, linear programs go through one fraction-free simplex with
-Bland's rule, integer points are counted by a DFS over the reduced rows,
-and a quasi-polynomial fit puts the values over one common denominator,
-decides each period by integer forward differences per residue class and
-expands only the period that fits, from each class's Newton form. The DFS
-follows a row plan made once per family (which rows bound each coordinate,
-split by sign), so a k only supplies its right-hand side, box and caps; it
-closes its last two levels, counting the last coordinate for each value of
-the one before instead of recursing into it, whenever no pinned coordinate
-needs an integrality test, which a pin with pivot 1 never does. Answers
-are exact.
+substitutes the pin into the other rows, linear programs go through one
+fraction-free simplex with Bland's rule, integer points are counted by a
+DFS over the reduced rows, and a quasi-polynomial fit puts the values over
+one common denominator, decides each period by integer forward differences
+per residue class and expands only the period that fits, from each class's
+Newton form. The DFS follows a plan built once per family (the rows that
+bound each coordinate, by sign, and the rows its leaf reads), so a k
+computes only its right-hand side, its integer box and the caps of the
+levels above the leaf. Whenever no pinned coordinate needs an integrality
+test, which a pin with pivot 1 never does, the leaf closes the last two
+levels: per value v of the next-to-last coordinate it reads each row's bound
+on the last one as a floor of (slack - s*v) over the row's coefficient, and
+counts the values in between. Answers are exact.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from math import gcd
 from operator import mul, neg
 from typing import Sequence
 
+from .config import DEFAULT, BudgetError, Budgets
 from .linalg import _primitive_int_row, clear_denominators
 
 
@@ -341,12 +343,12 @@ class _Reduced:
     ``c`` their rows. ``consts`` holds (b, c) for each condition
     0 <= k*b + c left with no coefficient.
 
-    ``count`` runs a DFS over the free coordinates on ``_plan``, the rows
-    that bound each coordinate split by sign, which depends on the family
-    only. Each pinned coordinate p * x_pc = k*b + c - coeffs . x_free is an
-    integer exactly when p divides the right side; with p = 1 it always is,
-    so only pins with p > 1 are tested, and without them the DFS closes its
-    last two levels.
+    ``count`` runs a DFS over the free coordinates on ``_plan``, which
+    depends on the family only and is built once, at its first count, for
+    every k. Each pinned coordinate p * x_pc = k*b + c - coeffs . x_free is
+    an integer exactly when p divides the right side; with p = 1 it always
+    is, so only pins with p > 1 are tested, and without them the DFS closes
+    its last two levels.
     """
 
     def __init__(self, A, b, c=None):
@@ -390,7 +392,7 @@ class _Reduced:
     def rhs(self, k: int) -> list[int] | None:
         """The right-hand sides k*b + c of the rows, or None when P(k) is
         empty because a condition with no coefficient fails at k."""
-        if any(k * bv + cv < 0 for bv, cv in self.consts):
+        if self.consts and any(k * bv + cv < 0 for bv, cv in self.consts):
             return None
         return [k * bv + cv for bv, cv in zip(self.b, self.c)]
 
@@ -419,182 +421,176 @@ class _Reduced:
 
     @cached_property
     def _unit_bounds(self):
-        return self._bounds(self.b)
+        bounds = self._bounds(self.b)
+        return bounds and [(lo.numerator, lo.denominator, hi.numerator,
+                            hi.denominator) for lo, hi in bounds]
 
     def box(self, k: int, rhs: list[int]) -> list[tuple[int, int]] | None:
         """The integer box (ceil lo, floor hi) of the free coordinates at k,
         or None when P(k) is empty. Propagation and the LP bounds are
         positively homogeneous in the right-hand side, so for c = 0 they are
-        computed once, at k = 1, and the box at k is (ceil(k*lo),
-        floor(k*hi))."""
+        computed once, at k = 1, kept as integer numerators and
+        denominators, and the box at k is (ceil(k*lo), floor(k*hi))."""
         if any(self.c):
-            bounds, scale = self._bounds(rhs), 1
-        else:
-            bounds, scale = self._unit_bounds, k
-        if bounds is None:
-            return None
-        return [(-(-scale * lo.numerator // lo.denominator),
-                 scale * hi.numerator // hi.denominator) for lo, hi in bounds]
+            bounds = self._bounds(rhs)
+            return bounds and [(-(-lo.numerator // lo.denominator),
+                                hi.numerator // hi.denominator) for lo, hi in bounds]
+        bounds = self._unit_bounds
+        return bounds and [(-(-k * p // q), k * r // s) for p, q, r, s in bounds]
 
     @cached_property
     def _plan(self):
-        """The row plan, fixed for the family: per free coordinate d, the
-        rows with a positive and with a negative coefficient there, as
-        (row, a, s) with a that coefficient and s the row's coefficient at
-        coordinate d - 1 (0 at d = 0). When coordinate d - 1 steps by one, a
-        row's bound on coordinate d steps by s, which the closed last level
-        uses."""
-        plan = []
-        for d in range(len(self.free)):
-            terms = [(r, row[d], row[d - 1] if d else 0)
-                     for r, row in enumerate(self.A) if row[d]]
-            plan.append(([t for t in terms if t[1] > 0],
-                         [t for t in terms if t[1] < 0]))
-        return plan
+        """The DFS plan, fixed for the family (and built at the first count)
+        as (pins, stop, levels, exact, closed).
+
+        ``pins`` are the pins with a pivot above 1, the only ones a point is
+        tested against. ``levels[d]`` holds the rows with a nonzero
+        coefficient a at coordinate d, per sign as (r, |a|), then all as
+        (r, a). The DFS enumerates the coordinates below ``stop``, and
+        ``exact`` holds per sign (r, |a|, 0) for the rows that bound
+        x_stop with nothing after it. Without a pin above 1 and with two
+        coordinates or more, stop is the next-to-last coordinate v, closed
+        with the last one x: ``closed`` holds per sign (r, |a|) for the rows
+        that bound x alike for every v, and (r, |a|, s) for the rows with
+        coefficient s at v. Otherwise stop is the last coordinate and
+        ``closed`` is None."""
+        A, nfree = self.A, len(self.free)
+        pins = [pin for pin in self._pins if pin[0] != 1]
+        levels = []
+        for d in range(nfree):
+            terms = [(r, row[d]) for r, row in enumerate(A) if row[d]]
+            levels.append(([(r, a) for r, a in terms if a > 0],
+                           [(r, -a) for r, a in terms if a < 0], terms))
+        stop = nfree - 1 if pins or nfree < 2 else nfree - 2
+        exact = [[(r, a, 0) for r, a in rows if not any(A[r][stop + 1:])]
+                 for rows in levels[stop][:2]]
+        if stop == nfree - 1:
+            return pins, stop, levels, exact, None
+        fixed, moving = ([], []), ([], [])
+        for sign, rows in enumerate(levels[stop + 1][:2]):
+            for r, a in rows:
+                if A[r][stop]:
+                    moving[sign].append((r, a, A[r][stop]))
+                else:
+                    fixed[sign].append((r, a))
+        return pins, stop, levels, exact, (fixed, moving)
 
     def count(self, k: int) -> int:
         """|P(k) ∩ Z^n| by bounding box plus DFS with constraint propagation;
         raises UnboundedPolytopeError when some coordinate has no finite
         range.
 
-        The DFS runs on the row plan (``_plan``): per k only the right-hand
-        side, the box and each depth's caps (the right-hand side less the
-        row's minimum over the box beyond that depth) are computed. The
-        bound a row puts on a coordinate is a floor division of its cap less
-        the partial sum so far, exact because the coordinate is integral,
-        and at a row's last nonzero column it is exact, so every row holds
-        at every point the DFS reaches. A free point counts when every
-        pinned coordinate it determines is an integer; a pin with pivot 1
-        always is, so only pins with pivots above 1 are tested, one point at
-        a time. Without such a pin the last two levels are closed: one loop
-        over the values v of the next-to-last coordinate, in which each
-        row's bound on the last coordinate is the floor of a numerator that
-        steps by the row's coefficient at v, and the last coordinate is
-        counted, not enumerated."""
+        The DFS runs on the plan (``_plan``), so a k computes only its
+        right-hand side, its integer box and the caps of the levels above
+        the leaf: per row, its minimum over the box of its terms beyond
+        that level. The DFS keeps each row's slack, the right-hand side less
+        the terms set so far; a row bounds a coordinate by the floor of its
+        slack less its cap over its coefficient, exact because the
+        coordinate is integral, and at a row's last nonzero column the cap
+        is 0 and the bound exact, so every row holds at every point the DFS
+        reaches. A free point counts when every pinned coordinate it
+        determines is an integer; a pin with pivot 1 always is, so only pins
+        with pivots above 1 are tested, one point at a time. Without such a
+        pin the last two levels are closed: one loop over the values v of
+        the next-to-last coordinate, in which each row bounds the last
+        coordinate x by a*x <= slack - s*v, read directly as a floor per v,
+        and the values of x are counted, not enumerated."""
         rhs = self.rhs(k)
         if rhs is None:
             return 0
-        # a pin with pivot 1 (pivots are positive) is integral everywhere
-        pins = [(p, coeffs, k * bv + cv) for p, coeffs, bv, cv in self._pins
-                if p != 1]
-
-        def integral(point) -> bool:
-            return all((r - sum(map(mul, coeffs, point))) % p == 0
-                       for p, coeffs, r in pins)
-
-        nfree = len(self.free)
-        if nfree == 0:
-            return int(integral(()))
+        if not self.free:
+            return int(all((k * bv + cv) % p == 0 for p, _, bv, cv in self._pins))
         box = self.box(k, rhs)
-        if box is None or any(lo > hi for lo, hi in box):
+        if box is None:  # an empty range in box leaves the DFS nothing
             return 0
-
-        # caps[d]: per sign, (row, a, s, rhs - min over the box of the row's
-        # terms beyond d); the minimum takes lo for a > 0 and hi for a < 0
-        tail = [0] * len(rhs)
-        caps = [None] * nfree
-        for d in range(nfree - 1, -1, -1):
-            pos, neg = self._plan[d]
-            caps[d] = ([(r, a, s, rhs[r] - tail[r]) for r, a, s in pos],
-                       [(r, a, s, rhs[r] - tail[r]) for r, a, s in neg])
-            lo, hi = box[d]
-            for r, a, _ in pos:
-                tail[r] += a * lo
-            for r, a, _ in neg:
-                tail[r] += a * hi
-        writes = [pos + neg for pos, neg in caps]
-        partial = [0] * len(rhs)
-        point = [0] * nfree
-        last = nfree - 1
-        count = 0
-
-        def enumerate_last(lo: int, hi: int) -> int:
-            n = 0
-            for v in range(lo, hi + 1):
-                point[last] = v
-                if integral(point):
-                    n += 1
-            return n
-
-        def closed_last_two(lo: int, hi: int) -> int:
-            # At v = lo + t a row bounds the last coordinate x by
-            # a*x <= num - s*t, num = cap - partial - s*lo, so x runs over
-            # [low, high] with high + 1 = min of (num + a - s*t) // a over
-            # a > 0 and -low = min of (num - s*t) // -a over a < 0. Rows
-            # with s = 0 bound x alike for every v and are folded in first.
-            low, high = box[last]
-            top, bottom = high + 1, -low
-            ups, downs = [], []
-            for r, a, s, cap in caps[last][0]:
-                num = cap - partial[r] - s * lo + a
-                if s:
-                    ups.append((num, s, a))
-                else:
-                    top = min(top, num // a)
-            for r, a, s, cap in caps[last][1]:
-                num = cap - partial[r] - s * lo
-                if s:
-                    downs.append((num, s, -a))
-                else:
-                    bottom = min(bottom, num // -a)
-            if not ups and not downs:
-                return (hi - lo + 1) * max(top + bottom, 0)
-            n = 0
-            for t in range(hi - lo + 1):
-                up = top
-                for num, s, a in ups:
-                    bound = (num - s * t) // a
-                    if bound < up:
-                        up = bound
-                down = bottom
-                for num, s, a in downs:
-                    bound = (num - s * t) // a
-                    if bound < down:
-                        down = bound
-                if up + down > 0:
-                    n += up + down
-            return n
-
+        pins, stop, levels, exact, closed = self._plan
         if pins:
-            stop, leaf = last, enumerate_last
-        elif nfree == 1:
-            stop, leaf = last, lambda lo, hi: hi - lo + 1
-        else:
-            stop, leaf = last - 1, closed_last_two
+            pins = [(p, coeffs, k * bv + cv) for p, coeffs, bv, cv in pins]
+        # caps[d]: per sign, (r, |a|, the row's minimum over the box of its
+        # terms beyond d), swept up from the last level; exact at the leaf
+        caps = [None] * stop + [exact]
+        tail = [0] * len(rhs)
+        for d in range(len(box) - 1, -1, -1) if stop else ():
+            pos, neg, _ = levels[d]
+            if d < stop:
+                caps[d] = ([(r, a, tail[r]) for r, a in pos],
+                           [(r, a, tail[r]) for r, a in neg])
+            lo, hi = box[d]
+            for r, a in pos:
+                tail[r] += a * lo
+            for r, a in neg:
+                tail[r] -= a * hi
+        slack = rhs
+        point = [0] * len(box)
 
-        def dfs(d: int):
-            nonlocal count
+        def dfs(d: int) -> int:
             lo, hi = box[d]
             pos, neg = caps[d]
-            for r, a, _, cap in pos:
-                bound = (cap - partial[r]) // a
+            for r, a, t in pos:
+                bound = (slack[r] - t) // a
                 if bound < hi:
                     hi = bound
-            for r, a, _, cap in neg:
-                bound = -((cap - partial[r]) // -a)
+            for r, a, t in neg:
+                bound = -((slack[r] - t) // a)
                 if bound > lo:
                     lo = bound
             if lo > hi:
-                return
-            if d == stop:
-                count += leaf(lo, hi)
-                return
-            rows = writes[d]
-            base = [partial[r] for r, _, _, _ in rows]
-            for v in range(lo, hi + 1):
-                point[d] = v
-                for (r, a, _, _), p0 in zip(rows, base):
-                    partial[r] = p0 + a * v
-                dfs(d + 1)
-            for (r, _, _, _), p0 in zip(rows, base):
-                partial[r] = p0
+                return 0
+            n = 0
+            if d < stop:
+                rows = levels[d][2]
+                base = [slack[r] for r, _ in rows]
+                for v in range(lo, hi + 1):
+                    point[d] = v
+                    for (r, a), s0 in zip(rows, base):
+                        slack[r] = s0 - a * v
+                    n += dfs(d + 1)
+                for (r, _), s0 in zip(rows, base):
+                    slack[r] = s0
+            elif not closed:
+                if not pins:
+                    return hi - lo + 1
+                for v in range(lo, hi + 1):
+                    point[d] = v
+                    n += all((r - sum(map(mul, coeffs, point))) % p == 0
+                             for p, coeffs, r in pins)
+            else:
+                # at v = x_d a row bounds x = x_last by a*x <= slack - s*v,
+                # so x runs over [-down, up]: up is the least floor over
+                # a > 0 and down the least over a < 0, by |a|; rows with
+                # s = 0 bound x alike for every v and are folded in first
+                (fixed_pos, fixed_neg), (ups, downs) = closed
+                low, high = box[-1]
+                top, bottom = high, -low
+                for r, a in fixed_pos:
+                    bound = slack[r] // a
+                    if bound < top:
+                        top = bound
+                for r, a in fixed_neg:
+                    bound = slack[r] // a
+                    if bound < bottom:
+                        bottom = bound
+                if not ups and not downs:
+                    return (hi - lo + 1) * max(top + bottom + 1, 0)
+                for v in range(lo, hi + 1):
+                    up = top
+                    for r, a, s in ups:
+                        bound = (slack[r] - s * v) // a
+                        if bound < up:
+                            up = bound
+                    down = bottom
+                    for r, a, s in downs:
+                        bound = (slack[r] - s * v) // a
+                        if bound < down:
+                            down = bound
+                    if up + down >= 0:
+                        n += up + down + 1
+            return n
 
-        dfs(0)
-        return count
+        return dfs(0)
 
     def counts(self, K: int) -> tuple[int, ...]:
-        """``count(k)`` for k = 1..K; each k only rescales the right-hand
-        side of the reduced rows."""
+        """``count(k)`` for k = 1..K, all on the one plan of the family."""
         out = []
         for k in range(1, K + 1):
             try:
@@ -611,13 +607,15 @@ def count_integer_points(P: ParamPolytope) -> int:
     return _Reduced(P.A, P.b, P.c).count(1)
 
 
-def ehrhart_counts(PP: ParamPolytope, K: int) -> tuple[int, ...]:
-    """Integer-point counts of PP.at(k) for k = 1..K.
-
-    The family is reduced once (``_Reduced``) and counted by
-    ``_Reduced.counts``."""
+def ehrhart_counts(PP: ParamPolytope, K: int,
+                   budgets: Budgets = DEFAULT) -> tuple[int, ...]:
+    """Integer-point counts of PP.at(k) for k = 1..K, K at most the budgets'
+    ``series_k_cap`` (else BudgetError). The family is reduced once
+    (``_Reduced``) and counted by ``_Reduced.counts``."""
     if K < 1:
         raise ValueError("K must be positive")
+    if K > budgets.series_k_cap:
+        raise BudgetError(f"series K={K} exceeds cap {budgets.series_k_cap}")
     return _Reduced(PP.A, PP.b, PP.c).counts(K)
 
 

@@ -533,17 +533,21 @@ class KempfResult:
         return self.stable
 
 
-def kempf_irreducibility_check(n: int) -> KempfResult:
+def kempf_irreducibility_check(n: int,
+                               budgets: Budgets = DEFAULT) -> KempfResult:
     """Is C^n (x) C^n irreducible under the permanent's stabilizer?
 
     Checks the two halves of the concrete criterion: (i) the characters of
     the stabilizer torus (pairs of determinant-one diagonal matrices) on the
     n^2 matrix coordinates are pairwise distinct, and (ii) the S_n x S_n
     part permutes the coordinates transitively. n = 1 is degenerate: the
-    space is one dimensional and the verdict is trivially true.
+    space is one dimensional and the verdict is trivially true. n above
+    ``kempf_n_cap`` is refused with BudgetError before any work.
     """
     if n < 1:
         raise ValueError("n must be positive")
+    if n > budgets.kempf_n_cap:
+        raise BudgetError(f"n={n} exceeds cap {budgets.kempf_n_cap}")
     if n == 1:
         return KempfResult(True, True, True, True)
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -441,6 +442,71 @@ class TestTopLevel:
                            "lr", "positive", "1", "1", "2")
         assert code == 1
         assert out["payload"]["error"]["type"] == "FileNotFoundError"
+
+
+SEGMENT = {"A": [["1"], ["-1"]], "b": ["1", "0"]}  # 0 <= x <= 1
+
+
+class TestLoopBudgets:
+    """The four arguments that size a loop (stretch length, series length,
+    family size, Kempf n) are refused above their budget before any work,
+    as a JSON BudgetError with exit code 1, each under a one-second alarm."""
+
+    HUGE = [("lr", "stretch", "1", "1", "2", "--k", "100000000"),
+            ("ehrhart", "--polytope", "SEG", "--series", "100000000"),
+            ("obstruct", "emit", "--max", "100000000"),
+            ("weyl", "kempf", "--n", "3000")]
+
+    @staticmethod
+    def argv(tmp_path, argv):
+        """argv with SEG replaced by the path of a file holding SEGMENT."""
+        seg = tmp_path / "seg.json"
+        seg.write_text(json.dumps(SEGMENT))
+        return [str(seg) if a == "SEG" else a for a in argv]
+
+    def refused(self, capsys, tmp_path, *argv):
+        argv = self.argv(tmp_path, argv)
+
+        def timeout(signum, frame):
+            raise AssertionError(f"{argv} still running after 1 s")
+
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            code, out = invoke(capsys, *argv)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 1
+        assert out["payload"]["error"]["type"] == "BudgetError"
+        return out["payload"]["error"]["message"]
+
+    @pytest.mark.parametrize("argv", HUGE)
+    def test_huge_argument_refused(self, capsys, tmp_path, argv):
+        assert "exceeds cap" in self.refused(capsys, tmp_path, *argv)
+
+    @pytest.mark.parametrize("cap,value,argv", [
+        ("stretch_k_cap", 4, ("lr", "stretch", "1", "1", "2", "--k", "5")),
+        ("series_k_cap", 5, ("ehrhart", "--polytope", "SEG", "--series", "6")),
+        ("emit_n_cap", 3, ("obstruct", "emit", "--max", "4")),
+        ("kempf_n_cap", 2, ("weyl", "kempf", "--n", "3")),
+    ])
+    def test_config_cap_refuses(self, capsys, tmp_path, cap, value, argv):
+        path = config(tmp_path, **{cap: value})
+        message = self.refused(capsys, tmp_path, "--config", path, *argv)
+        assert message.endswith(f"exceeds cap {value}")
+
+    @pytest.mark.parametrize("argv", [
+        ("lr", "stretch", "1", "1", "2", "--k", "4"),
+        ("ehrhart", "--polytope", "SEG", "--series", "5"),
+        ("obstruct", "emit", "--max", "3"),
+        ("weyl", "kempf", "--n", "2")])
+    def test_at_the_cap_runs(self, capsys, tmp_path, argv):
+        caps = {"stretch_k_cap": 4, "series_k_cap": 5, "emit_n_cap": 3,
+                "kempf_n_cap": 2}
+        code, _ = invoke(capsys, "--config", config(tmp_path, **caps),
+                         *self.argv(tmp_path, argv))
+        assert code == 0
 
 
 # A family with explicit +/- equality pairs: x + y = k in the rows, z = k

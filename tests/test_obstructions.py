@@ -196,6 +196,12 @@ class TestObstructionFamily:
         assert [c.gamma for c in certs] == [P((4,)), P((6,)), P((8,))]
         assert all(c.checks.even and c.checks.alpha_neq_beta for c in certs)
 
+    @pytest.mark.parametrize("N,error", [(1, ValueError), (1001, BudgetError)])
+    def test_emit_refuses_at_the_call(self, N, error):
+        # refused before anything is iterated, not at the first certificate
+        with pytest.raises(error):
+            emit_obstruction_family(N)
+
     def test_emit_fifty_fast(self):
         t0 = time.perf_counter()
         certs = list(emit_obstruction_family(50))

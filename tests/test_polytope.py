@@ -352,17 +352,18 @@ small_rationals = st.builds(F, st.integers(-2, 2), st.integers(1, 3))
 
 
 @st.composite
-def families(draw):
+def families(draw, homogeneous=None):
     """A family {x : Ax <= k*b + c} of dimension 1-3. Its rows bound an
     axis box or, for 'rotated', an invertible matrix with at least two
     nonzeros per row, which propagation cannot use, from both sides; each
-    side gets its own b and c, so some members may be empty. Optionally c
-    is 0, one side is dropped (unbounded), up to two extra rows cut it, and
-    a pair (a, b, c), (-a, -b, -c), given as different multiples of one
-    row, pins it to a hyperplane."""
+    side gets its own b and c, so some members may be empty. Optionally
+    (always, with ``homogeneous``) c is 0, one side is dropped (unbounded),
+    up to two extra rows cut it, and a pair (a, b, c), (-a, -b, -c), given
+    as different multiples of one row, pins it to a hyperplane."""
     kind = draw(st.sampled_from(["axis", "rotated"]))
     n = draw(st.integers(1 if kind == "axis" else 2, 3))
-    homogeneous = draw(st.booleans())
+    if homogeneous is None:
+        homogeneous = draw(st.booleans())
     rhs = st.tuples(small_rationals.map(lambda x: x + 1),
                     st.just(F(0)) if homogeneous else small_rationals)
     A, b, c = [], [], []
@@ -516,39 +517,78 @@ def reference_count(reduced, k):
 
 
 @st.composite
-def pinned_families(draw):
+def pinned_families(draw, homogeneous=None):
     """A family of ``families()`` with a new first coordinate x_0 pinned by
     a pair p*x_0 + a.x = k*b + c, (-p, -a, -b, -c). Reduced, x_0 has pivot p
     over the gcd of the row: pivot 1 is a unit pin, and a pivot of 2 or more
     (as in 2x - y) is tested for integrality at every point."""
-    pp = draw(families())
+    pp = draw(families(homogeneous))
     n = pp.dim
     p = draw(st.integers(1, 3))
     a = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
-    bv, cv = draw(small_rationals), draw(small_rationals)
+    bv = draw(small_rationals)
+    cv = F(0) if homogeneous else draw(small_rationals)
     eq = (F(p), *map(F, a))
     return ParamPolytope(
         tuple((F(0), *row) for row in pp.A) + (eq, tuple(-x for x in eq)),
         pp.b + (bv, -bv), pp.c + (cv, -cv))
 
 
+def assert_counts_like_reference(pp, K):
+    expected = []
+    for k in range(1, K + 1):
+        try:
+            expected.append(reference_count(_Reduced(pp.A, pp.b, pp.c), k))
+        except UnboundedPolytopeError:
+            with pytest.raises(UnboundedPolytopeError,
+                               match=f"^unbounded polytope at k={k}$"):
+                _Reduced(pp.A, pp.b, pp.c).counts(K)
+            return
+    assert _Reduced(pp.A, pp.b, pp.c).counts(K) == tuple(expected)
+
+
 class TestCountAgainstReference:
-    """The row-plan DFS with its closed last two levels counts what the
-    reference DFS counts, and fails at the same k."""
+    """The DFS on the family's plan, with its closed last two levels, counts
+    what the reference DFS counts, and fails at the same k."""
 
     @given(st.one_of(families(), pinned_families()), st.integers(1, 4))
     @settings(max_examples=300, deadline=None)
     def test_matches_reference(self, pp, K):
-        expected = []
+        assert_counts_like_reference(pp, K)
+
+    @given(st.one_of(families(True), pinned_families(True)), st.integers(1, 8))
+    @settings(max_examples=200, deadline=None)
+    def test_homogeneous_families_to_k8(self, pp, K):
+        # c = 0: the box at every k is scaled from the one at k = 1
+        assert_counts_like_reference(pp, K)
+
+    @given(st.one_of(families(), pinned_families()), st.integers(1, 8))
+    @settings(max_examples=200, deadline=None)
+    def test_counts_is_count_per_k(self, pp, K):
+        # one plan for every k gives what a plan first built at k gives;
+        # a single count names no k, the series names the first it fails at
+        singles = []
         for k in range(1, K + 1):
             try:
-                expected.append(reference_count(_Reduced(pp.A, pp.b, pp.c), k))
-            except UnboundedPolytopeError:
+                singles.append(_Reduced(pp.A, pp.b, pp.c).count(k))
+            except UnboundedPolytopeError as exc:
+                assert str(exc) == "unbounded polytope"
                 with pytest.raises(UnboundedPolytopeError,
                                    match=f"^unbounded polytope at k={k}$"):
                     _Reduced(pp.A, pp.b, pp.c).counts(K)
                 return
-        assert _Reduced(pp.A, pp.b, pp.c).counts(K) == tuple(expected)
+        assert _Reduced(pp.A, pp.b, pp.c).counts(K) == tuple(singles)
+
+    def test_unbounded_messages(self):
+        # x >= 0 and 0 <= y <= 1 leave x unbounded above: a point count says
+        # so plainly, a series names the k
+        pp = ParamPolytope(((F(-1), F(0)), (F(0), F(1)), (F(0), F(-1))),
+                           (F(0), F(1), F(0)))
+        with pytest.raises(UnboundedPolytopeError, match="^unbounded polytope$"):
+            count_integer_points(pp)
+        with pytest.raises(UnboundedPolytopeError,
+                           match="^unbounded polytope at k=1$"):
+            ehrhart_counts(pp, 3)
 
     def test_pinned_hive(self):
         # the side-6 hive of the stretch probe: 7 free coordinates and three
