@@ -13,8 +13,10 @@ det and perm at sizes 2 and 3; a call already in the README block is not
 repeated. Last come three longer series: ``ehrhart --series 20 --fit`` on
 a rotated polygon, which only the LP box bounds, ``ehrhart --series 10``
 on a 3-dimensional axis polytope and ``lr stretch --k 10`` on the first
-acceptance stretch query. They run in process through ``weylbox.cli.run``,
-in a temporary directory that holds the files under relative names. Each
+acceptance stretch query. The last two are ``symfunc plethysm`` on
+(2,2) of (3) and (4) of (3), degree 12, through a ``--config`` file that
+raises ``plethysm_degree_cap`` to 12. They run in process through
+``weylbox.cli.run``, in a temporary directory that holds the files under relative names. Each
 line is the call's JSON output plus its exit code, keys sorted, without
 ``wall_time_s`` and without any ``seconds`` field.
 
@@ -73,6 +75,8 @@ FILES = {
     "axis3.json": {"A": [["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "-1"],
                          ["1", "1", "1"], ["1", "-1", "0"], ["0", "1", "1"]],
                    "b": ["0", "0", "0", "2", "1", "1"]},
+    # plethysms of degree 12, above the default cap of 10
+    "cap12.json": {"plethysm_degree_cap": 12},
 }
 
 
@@ -107,6 +111,8 @@ def calls() -> list[list[str]]:
     long = [["ehrhart", "--polytope", "rotated.json", "--series", "20", "--fit"],
             ["ehrhart", "--polytope", "axis3.json", "--series", "10"],
             ["lr", "stretch", *first, "--k", "10"]]
+    long += [["--config", "cap12.json", "symfunc", "plethysm", pi, "3"]
+             for pi in ("2,2", "4")]
     return out + [argv for argv in weyl if argv not in out] + long
 
 

@@ -23,8 +23,8 @@ from .lr import (LRQuery, OracleMismatchError, _skew_lr_count, lr_coefficient,
 from .obstructions import (basic_invariant_poly, emit_obstruction_family,
                            magic_orbits, read_certificates, verify_obstruction)
 from .partitions import Partition, dim_weyl
-from .polytope import (ParamPolytope, count_integer_points, ehrhart_counts,
-                       fit_quasipolynomial)
+from .polytope import (FitError, ParamPolytope, count_integer_points,
+                       ehrhart_counts, fit_quasipolynomial)
 from .symfunc import plethysm_expand, product_expand
 from .weylmod import (kempf_irreducibility_check, matrix_variable_names,
                       perm_stabilizer_invariants,
@@ -36,6 +36,10 @@ def _partition(text: str) -> Partition:
         return Partition.parse(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _error(exc: Exception) -> dict:
+    return {"type": type(exc).__name__, "message": str(exc)}
 
 
 def _coeff_map(expansion: dict) -> dict:
@@ -202,10 +206,15 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets) -> dict:
             values = ehrhart_counts(pp, args.series, budgets)
             payload["values"] = list(values)
             if args.fit:
-                fit = fit_quasipolynomial(
-                    values, budgets.max_period, budgets.max_degree,
-                    budgets.holdout, skip_prefix=args.skip_prefix)
-                payload["fit"] = fit.to_json()
+                # a failed fit keeps the computed values beside its error
+                try:
+                    fit = fit_quasipolynomial(
+                        values, budgets.max_period, budgets.max_degree,
+                        budgets.holdout, skip_prefix=args.skip_prefix)
+                except FitError as exc:
+                    payload["error"] = _error(exc)
+                else:
+                    payload["fit"] = fit.to_json()
         return payload
 
     if cmd == "kron":
@@ -303,9 +312,10 @@ def run(argv: list[str]) -> int:
     try:
         budgets = Budgets.from_json(args.config) if args.config else DEFAULT
         payload = _dispatch(args, budgets)
-        ok = args.command != "accept" or payload["all_passed"]
+        ok = "error" not in payload and (
+            args.command != "accept" or payload["all_passed"])
     except (ValueError, RuntimeError, OSError) as exc:
-        payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+        payload = {"error": _error(exc)}
         ok = False
     result = {"command": list(argv), "payload": payload,
               "version": __version__,

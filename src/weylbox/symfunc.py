@@ -9,15 +9,17 @@ lam, read from a table of the m-basis structure constants that depends only
 on the two degrees and the variable count (``_m_table``), and a plethysm
 coefficient comes from literal substitution of the monomials of the inner
 polynomial into the outer one, organized by target monomial, with equal
-monomials grouped into one letter that carries its Kostka multiplicity. The
-product table is keyed on sizes only, never on an answer, and
-``product_degree_cap`` bounds it. Nothing here knows about
+monomials grouped into one letter that carries its Kostka multiplicity; the
+search covers the lowest variable the target still needs first, and looks
+its last pick up. The product table is keyed on sizes only, never on an
+answer, and ``product_degree_cap`` bounds it. Nothing here knows about
 Littlewood-Richardson or plethysm rules: this module is the brute-force
 oracle the rest of the toolkit is checked against.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -178,11 +180,15 @@ def _pack(expo, width: int) -> int:
 @lru_cache(maxsize=None)
 def _alphabet(mu: Partition, N: int) -> tuple:
     """The distinct monomials x^e of s_mu in N variables, packed, as
-    ``(width, codes, mults)``: ``codes[i]`` packs e_i with one field of
-    ``width`` bits per variable (variable 0 lowest), ``mults[i]`` is
-    K_{mu,e_i}, and the codes run in lexicographically decreasing order of
-    e_i. Only e[t] <= N // (t + 1) is listed, the most a partition of N
-    allows in part t."""
+    ``(width, codes, mults, index, first)``: ``codes[i]`` packs e_i with one
+    field of ``width`` bits per variable (variable 0 lowest), ``mults[i]``
+    is K_{mu,e_i}, and the codes run in lexicographically decreasing order
+    of e_i. Only e[t] <= N // (t + 1) is listed, the most a partition of N
+    allows in part t. ``index`` maps each code to its position. The letters
+    that are zero in every variable below t form a suffix of ``codes``, in
+    decreasing order of e[t]; ``first[t][v]``, for v <= N // (t + 1), is
+    the position of the first of them with e[t] <= v, so those with
+    a <= e[t] <= v are ``codes[first[t][v]:first[t][a - 1]]`` for a >= 1."""
     caps = [min(mu.size, N // (t + 1)) for t in range(N)]
     kostkas = schur(mu, N).terms
     width = N.bit_length() + 1
@@ -192,7 +198,16 @@ def _alphabet(mu: Partition, N: int) -> tuple:
         if m:
             codes.append(_pack(e, width))
             mults.append(m)
-    return width, tuple(codes), tuple(mults)
+    index = {c: i for i, c in enumerate(codes)}
+    # each letter's lowest nonzero variable t and -e[t]: these ascend along
+    # codes, and first[t][v] is the first letter whose pair is >= (t, -v)
+    low, leads = (1 << width) - 1, []
+    for c in codes:
+        t = ((c & -c).bit_length() - 1) // width
+        leads.append((t, -(c >> width * t & low)))
+    first = tuple(tuple(bisect_left(leads, (t, -v))
+                        for v in range(N // (t + 1) + 1)) for t in range(N))
+    return width, tuple(codes), tuple(mults), index, first
 
 
 def _ways(rho: tuple[int, ...], m: int) -> int:
@@ -223,26 +238,32 @@ def plethysm_expand(pi: Partition, mu: Partition,
     letters, each taken j >= 1 times, whose |pi| picks sum to lam, and the
     result expanded in the Schur basis. j picks among m equal letters split
     as rho |- j in ``_ways(rho, m)`` ways, so a multiset weighs
-    sum of prod _ways * K_{pi, union of the rho}. The degree cap
-    (``plethysm_degree_cap``) is checked before any cached work.
+    sum of prod _ways * K_{pi, union of the rho}.
+
+    The search covers the remainder's lowest nonzero variable t first. The
+    next letter must be zero below t, with e[t] at most the remainder's and
+    at least the remainder's divided by the picks left; those letters are
+    one run of the alphabet, read from ``_alphabet``'s ``first`` table. The
+    last pick is looked up, never searched: all picks left on one letter,
+    or the rest of a letter's picks plus one later letter equal to what
+    remains. The degree cap (``plethysm_degree_cap``) is checked before any
+    cached work.
     """
     pi, mu = Partition(pi), Partition(mu)
     degree = pi.size * mu.size
     if degree > budgets.plethysm_degree_cap:
         raise BudgetError(f"plethysm degree {degree} exceeds cap "
                           f"{budgets.plethysm_degree_cap}")
-    if not pi:
-        return {Partition(): 1}
+    if not pi or not mu:
+        # s_()[f] = 1, and s_pi[s_()] = s_pi(1) is 1 for one row, else 0
+        return {Partition(): 1} if len(pi) <= 1 else {}
     N = degree
-    width, codes, mults = _alphabet(mu, N)
-    index = {c: i for i, c in enumerate(codes)}
+    width, codes, mults, index, first = _alphabet(mu, N)
     # a guard bit on top of each field: e <= rem componentwise iff every
     # guard bit survives ((rem | guard) - e), and rem - e is then a plain
     # subtraction
     guard = sum(1 << (width * t + width - 1) for t in range(N))
     low = (1 << width) - 1
-    heads = [c & low for c in codes]  # e[0], never increasing along codes
-    zero_head = next((i for i, h in enumerate(heads) if h == 0), len(codes))
     weights: dict[tuple, int] = {}
 
     def weight(groups: list[tuple[int, int]]) -> int:
@@ -264,7 +285,7 @@ def plethysm_expand(pi: Partition, mu: Partition,
     def count(start: int, rem: int, left: int,
               groups: list[tuple[int, int]]) -> int:
         # multisets of distinct letters from index start on, with left picks
-        # in all, summing to rem
+        # in all, summing to rem (never 0: every letter has size |mu|)
         total = 0
         last = rem // left  # the last group: all left picks on one letter
         i = index.get(last, -1) if last * left == rem else -1
@@ -274,20 +295,32 @@ def plethysm_expand(pi: Partition, mu: Partition,
             groups.pop()
         if left == 1:
             return total
-        head = rem & low
-        if head == 0:
-            start = max(start, zero_head)
-        for i in range(start, len(codes)):
-            if left * heads[i] < head:
-                break  # no later letter has a larger e[0]
-            code, r = codes[i], rem
-            for j in range(1, left):
+        # t is the lowest variable rem still needs: every letter left must be
+        # zero below t and have e[t] <= rem[t], and the letter taken first,
+        # the one of largest e[t], must cover rem[t] with the left picks
+        t = ((rem & -rem).bit_length() - 1) // width
+        need = rem >> width * t & low
+        lows = first[t]
+        for i in range(max(start, lows[need]), lows[(need - 1) // left]):
+            code = codes[i]
+            r = rem
+            for j in range(1, left - 1):
                 if ((r | guard) - code) & guard != guard:
                     break
                 r -= code
                 groups.append((j, mults[i]))
                 total += count(i + 1, r, left - j, groups)
                 groups.pop()
+            else:
+                # the last pick: left - 1 copies of letter i and one later
+                # letter k. A letter code equal to r - code already fits:
+                # two fields of at most N each add without a carry
+                k = index.get(r - code, -1)
+                if k > i:
+                    groups.append((left - 1, mults[i]))
+                    groups.append((1, mults[k]))
+                    total += weight(groups)
+                    del groups[-2:]
         return total
 
     acc = {lam: count(0, _pack(lam, width), pi.size, [])

@@ -110,6 +110,22 @@ class TestEhrhart:
         assert out["payload"]["values"] == [1, 2, 2, 3, 3, 4]
         assert out["payload"]["fit"]["period"] == 2
 
+    def test_failed_fit_keeps_the_values(self, capsys, tmp_path):
+        # x = k, x = 2 and 0 <= y <= k: three points at k = 2, none elsewhere
+        path = tmp_path / "constant.json"
+        path.write_text(json.dumps(
+            {"A": [["1", "0"], ["-1", "0"], ["1", "0"], ["-1", "0"],
+                   ["0", "1"], ["0", "-1"]],
+             "b": ["1", "-1", "0", "0", "1", "0"],
+             "c": ["0", "0", "2", "-2", "0", "0"]}))
+        code, out = invoke(capsys, "ehrhart", "--polytope", str(path),
+                           "--series", "6", "--fit")
+        assert code == 1
+        assert out["payload"] == {
+            "error": {"type": "FitError",
+                      "message": "not quasi-polynomial within bounds"},
+            "values": [0, 3, 0, 0, 0, 0]}
+
     def test_negative_skip_prefix_refused(self, capsys, tmp_path):
         path = tmp_path / "half.json"
         path.write_text(json.dumps({"A": [["1"], ["-1"]], "b": ["1/2", "0"]}))

@@ -1,5 +1,7 @@
+import json
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -174,8 +176,19 @@ class TestPlethysm:
         assert plethysm_expand(P((1, 1)), P((2,))) == {P((3, 1)): 1}
 
     def test_identity(self):
-        for mu in [P((3,)), P((2, 1)), P((4, 2))]:
-            assert plethysm_expand(P((1,)), mu) == {mu: 1}
+        # s_(1)[s_mu] = s_mu and s_pi[s_(1)] = s_pi, to size 8
+        for n in range(1, 9):
+            for lam in partitions_of(n):
+                assert plethysm_expand(P((1,)), lam) == {lam: 1}, lam
+                assert plethysm_expand(lam, P((1,))) == {lam: 1}, lam
+
+    def test_empty_shapes(self):
+        # s_()[s_mu] = 1 and s_pi[s_()] = s_pi(1): 1 for one row, else 0
+        assert plethysm_expand(P(), P((2, 1))) == {P(): 1}
+        for n in range(5):
+            for pi in partitions_of(n):
+                want = {P(): 1} if len(pi) <= 1 else {}
+                assert plethysm_expand(pi, P()) == want, pi
 
     def test_degree_cap(self):
         with pytest.raises(BudgetError, match="cap"):
@@ -337,3 +350,41 @@ class TestAgainstIndependentRoutes:
     def test_literal_reference(self):
         assert literal_plethysm(P((3,)), P((2,))) == \
             {P((6,)): 1, P((4, 2)): 1, P((2, 2, 2)): 1}
+
+
+# every pair with |pi||mu| <= 10, recorded from the search before it covered
+# the lowest open part first; one JSON line per pair, in plethysm_pairs order
+FROZEN = Path(__file__).with_name("plethysm_degree10.jsonl")
+
+
+class TestPastTheReferences:
+    """Plethysms beyond the degrees the two reference routes reach."""
+
+    def test_frozen_answers_to_degree_10(self):
+        budgets = replace(DEFAULT, plethysm_degree_cap=10)
+        lines = FROZEN.read_text().splitlines()
+        pairs = plethysm_pairs(10)
+        assert len(lines) == len(pairs) == 348
+        for (pi, mu), line in zip(pairs, lines):
+            got = plethysm_expand(pi, mu, budgets)
+            frozen = json.loads(line)
+            assert (P.parse(frozen["pi"]), P.parse(frozen["mu"])) == (pi, mu)
+            assert {lam.serialize(): v for lam, v in sorted(got.items())} == \
+                frozen["coefficients"], (pi, mu)
+
+    @pytest.mark.parametrize("mu,N", [
+        (P((1,)), 8), (P((2,)), 8), (P((2, 1)), 9), (P((3,)), 12),
+        (P((2, 2)), 12), (P((3, 1, 1)), 10)])
+    def test_alphabet_tables_match_their_definition(self, mu, N):
+        width, codes, mults, index, first = _alphabet(mu, N)
+        low = (1 << width) - 1
+        expos = [[c >> width * t & low for t in range(N)] for c in codes]
+        assert expos == sorted(expos, reverse=True)
+        assert index == {c: i for i, c in enumerate(codes)}
+        assert len(first) == N
+        for t, row in enumerate(first):
+            assert len(row) == N // (t + 1) + 1
+            for v, at in enumerate(row):
+                assert at == next((i for i, e in enumerate(expos)
+                                   if not any(e[:t]) and e[t] <= v),
+                                  len(codes)), (t, v)
