@@ -10,12 +10,14 @@ that reads 0 = k*b + c, and an unbounded one), ``weyl invariants`` on every
 gamma of 2n with at most n parts for n = 2..4 (refusals included),
 ``weyl dim --basis`` on (2,1) and (3,2) at n = 3, and ``weyl symcheck`` for
 det and perm at sizes 2 and 3; a call already in the README block is not
-repeated. Last come three longer series: ``ehrhart --series 20 --fit`` on
+repeated. Then come three longer series: ``ehrhart --series 20 --fit`` on
 a rotated polygon, which only the LP box bounds, ``ehrhart --series 10``
 on a 3-dimensional axis polytope and ``lr stretch --k 10`` on the first
-acceptance stretch query. The last two are ``symfunc plethysm`` on
+acceptance stretch query, two ``symfunc plethysm`` calls on
 (2,2) of (3) and (4) of (3), degree 12, through a ``--config`` file that
-raises ``plethysm_degree_cap`` to 12. They run in process through
+raises ``plethysm_degree_cap`` to 12, and last two ``kron coeff`` calls at
+n = 14, the default ``char_table_max_n``: the largest rows the bounded
+Murnaghan-Nakayama memo builds by default. They run in process through
 ``weylbox.cli.run``, in a temporary directory that holds the files under relative names. Each
 line is the call's JSON output plus its exit code, keys sorted, without
 ``wall_time_s`` and without any ``seconds`` field.
@@ -113,6 +115,8 @@ def calls() -> list[list[str]]:
             ["lr", "stretch", *first, "--k", "10"]]
     long += [["--config", "cap12.json", "symfunc", "plethysm", pi, "3"]
              for pi in ("2,2", "4")]
+    long += [["kron", "coeff", "5,4,3,2", "5,4,3,2", "7,7"],
+             ["kron", "coeff", "8,6", "8,6", "10,4"]]
     return out + [argv for argv in weyl if argv not in out] + long
 
 

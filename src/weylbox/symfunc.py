@@ -11,8 +11,10 @@ coefficient comes from literal substitution of the monomials of the inner
 polynomial into the outer one, organized by target monomial, with equal
 monomials grouped into one letter that carries its Kostka multiplicity; the
 search covers the lowest variable the target still needs first, and looks
-its last pick up. The product table is keyed on sizes only, never on an
-answer, and ``product_degree_cap`` bounds it. Nothing here knows about
+its last pick up. The targets of a degree, each with its packed code, come
+from a per-degree table (``_targets``). Both tables are keyed on sizes
+only, never on an answer, and ``product_degree_cap`` and
+``plethysm_degree_cap`` bound them. Nothing here knows about
 Littlewood-Richardson or plethysm rules: this module is the brute-force
 oracle the rest of the toolkit is checked against.
 """
@@ -29,7 +31,8 @@ from operator import sub
 from typing import Mapping
 
 from .config import DEFAULT, BudgetError, Budgets
-from .partitions import Partition, kostka, partitions_of, weak_compositions
+from .partitions import (Partition, _kostka, kostka, partitions_of,
+                         weak_compositions)
 
 
 class NonHomogeneousError(ValueError):
@@ -177,6 +180,22 @@ def _pack(expo, width: int) -> int:
     return sum(v << (width * t) for t, v in enumerate(expo))
 
 
+def _width(N: int) -> int:
+    """Bits per variable of a packed exponent vector of degree N: room for
+    0..N and one guard bit on top."""
+    return N.bit_length() + 1
+
+
+@lru_cache(maxsize=None)
+def _targets(N: int) -> tuple[tuple[Partition, int], ...]:
+    """Every lam |- N, in ``partitions_of`` order, with its code packed in
+    ``_width(N)`` bits per variable, as ``_alphabet(mu, N)`` packs letters.
+    The key is the degree alone, never a factor or an answer."""
+    width = _width(N)
+    return tuple((lam, _pack(lam, width))
+                 for lam in partitions_of(N, max_length=N))
+
+
 @lru_cache(maxsize=None)
 def _alphabet(mu: Partition, N: int) -> tuple:
     """The distinct monomials x^e of s_mu in N variables, packed, as
@@ -191,7 +210,7 @@ def _alphabet(mu: Partition, N: int) -> tuple:
     a <= e[t] <= v are ``codes[first[t][v]:first[t][a - 1]]`` for a >= 1."""
     caps = [min(mu.size, N // (t + 1)) for t in range(N)]
     kostkas = schur(mu, N).terms
-    width = N.bit_length() + 1
+    width = _width(N)
     codes, mults = [], []
     for e in weak_compositions(mu.size, caps):
         m = kostkas.get(_sort(e))
@@ -236,9 +255,11 @@ def plethysm_expand(pi: Partition, mu: Partition,
     multiplicity K_{mu,e}. s_pi is evaluated with that alphabet at each
     dominant monomial x^lam by a search over the multisets of distinct
     letters, each taken j >= 1 times, whose |pi| picks sum to lam, and the
-    result expanded in the Schur basis. j picks among m equal letters split
-    as rho |- j in ``_ways(rho, m)`` ways, so a multiset weighs
-    sum of prod _ways * K_{pi, union of the rho}.
+    result expanded in the Schur basis. The lam and their packed codes come
+    from ``_targets(N)``, cached on the degree alone, never on an answer.
+    j picks among m equal letters split as rho |- j in ``_ways(rho, m)``
+    ways, so a multiset weighs sum of prod _ways * K_{pi, union of the rho},
+    each K read from the cached ``_kostka``.
 
     The search covers the remainder's lowest nonzero variable t first. The
     next letter must be zero below t, with e[t] at most the remainder's and
@@ -247,7 +268,7 @@ def plethysm_expand(pi: Partition, mu: Partition,
     last pick is looked up, never searched: all picks left on one letter,
     or the rest of a letter's picks plus one later letter equal to what
     remains. The degree cap (``plethysm_degree_cap``) is checked before any
-    cached work.
+    cached work, the target table included.
     """
     pi, mu = Partition(pi), Partition(mu)
     degree = pi.size * mu.size
@@ -278,7 +299,10 @@ def plethysm_expand(pi: Partition, mu: Partition,
                 for rho, rho_ways in choice:
                     ways *= rho_ways
                     content.extend(rho)
-                w += ways * kostka(pi, content)
+                # the rho are partitions of the j, which sum to |pi|: the
+                # content is valid, so the cached kernel is read directly
+                content.sort(reverse=True)
+                w += ways * _kostka(pi, tuple(content))
             weights[key] = w
         return w
 
@@ -323,7 +347,6 @@ def plethysm_expand(pi: Partition, mu: Partition,
                     del groups[-2:]
         return total
 
-    acc = {lam: count(0, _pack(lam, width), pi.size, [])
-           for lam in partitions_of(degree, max_length=N)}
+    acc = {lam: count(0, code, pi.size, []) for lam, code in _targets(N)}
     poly = SymPoly(N, acc)
     return {k: int(v) for k, v in schur_expand(poly).items()}

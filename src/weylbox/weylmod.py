@@ -259,10 +259,14 @@ def weyl_module(lam: Partition, n: int,
 
 
 def _capped_dim(lam: Partition, n: int, budgets: Budgets) -> int:
-    """dim_weyl(lam, n), refused above ``weyl_dim_cap``."""
+    """dim_weyl(lam, n), refused above ``weyl_dim_cap``, and so is n: the
+    model lives in n^2 variables, and a shape with fewer than n rows, but
+    not none, has dimension at least n already."""
     dim = dim_weyl(lam, n)
     if dim > budgets.weyl_dim_cap:
         raise BudgetError(f"dim {dim} exceeds cap {budgets.weyl_dim_cap}")
+    if n > budgets.weyl_dim_cap:
+        raise BudgetError(f"n={n} exceeds cap {budgets.weyl_dim_cap}")
     return dim
 
 

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from functools import lru_cache
 from itertools import permutations
 
 import pytest
@@ -69,6 +70,25 @@ class TestCharacters:
         assert tuple(partitions_of(3)) == (P((3,)), P((2, 1)), P((1, 1, 1)))
         assert _character_row((2, 1)) == (-1, 0, 2)
         assert _class_sizes(3) == (2, 3, 1)
+
+    def test_bounded_memo_builds_the_unbounded_rows(self, monkeypatch):
+        # n <= 11 overflows the bound, so entries are evicted mid-row
+        maxsize = kronecker_module._mn.cache_info().maxsize
+        assert maxsize is not None
+
+        def rows():
+            _character_row.cache_clear()
+            return [_character_row(tuple(lam))
+                    for n in range(1, 12) for lam in partitions_of(n)]
+
+        kronecker_module._mn.cache_clear()
+        bounded = rows()
+        assert kronecker_module._mn.cache_info().currsize == maxsize
+        # the same recursion with an unbounded memo, as it was before the bound
+        monkeypatch.setattr(kronecker_module, "_mn", lru_cache(maxsize=None)(
+            kronecker_module._mn.__wrapped__))
+        assert bounded == rows()
+        _character_row.cache_clear()
 
 
 def class_sum_kronecker(lam, mu, nu):
@@ -174,6 +194,10 @@ class TestDetStabilizer:
         with pytest.raises(ValueError, match="length"):
             det_stabilizer_invariant_mult(P((1,) * 5), 2)
 
+    def test_empty_shape_at_any_m(self):
+        # the trivial representation; R would be 10^8 empty rows
+        assert det_stabilizer_invariant_mult(P(), 10 ** 8) == 1
+
     def test_positive_needs_divisibility(self):
         for size in range(1, 9):
             for lam in partitions_of(size, max_length=4):
@@ -201,6 +225,13 @@ class TestGStretch:
     def test_budget_names_k(self):
         with pytest.raises(BudgetError, match="k=8"):
             g_stretch(P((2,)), 2, 8)
+
+    def test_empty_shape_capped_at_table_size(self):
+        assert g_stretch(P(), 2, 14).values == (1,) * 14
+        with pytest.raises(BudgetError, match="K=15 of the empty shape"):
+            g_stretch(P(), 2, 15)
+        with pytest.raises(BudgetError, match="empty shape exceeds cap 14"):
+            g_stretch(P(), 2, 10 ** 8)
 
     def test_raised_cap_reaches_each_coefficient(self):
         raised = replace(DEFAULT, char_table_max_n=16)

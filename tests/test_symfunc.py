@@ -12,8 +12,9 @@ from weylbox.lr import LRQuery, lr_coefficient
 from weylbox.partitions import (Partition, dim_weyl, iter_ssyt, kostka,
                                 partitions_of, weak_compositions)
 from weylbox.symfunc import (NonHomogeneousError, SymPoly, _alphabet,
-                             _m_table, _sort, _ways, plethysm_expand,
-                             product_expand, schur, schur_expand)
+                             _m_table, _pack, _sort, _targets, _ways,
+                             plethysm_expand, product_expand, schur,
+                             schur_expand)
 
 P = Partition
 
@@ -197,10 +198,12 @@ class TestPlethysm:
 
     def test_cap_checked_before_alphabet(self, monkeypatch):
         alphabets, schurs = _alphabet.cache_info(), schur.cache_info()
+        targets = _targets.cache_info()
         with pytest.raises(BudgetError, match="degree 12 exceeds cap 10"):
             plethysm_expand(P((2,)), P((3, 3)))
         assert _alphabet.cache_info() == alphabets
         assert schur.cache_info() == schurs
+        assert _targets.cache_info() == targets
 
         def untouchable(*args):
             raise AssertionError("alphabet built past the cap")
@@ -209,6 +212,19 @@ class TestPlethysm:
         with pytest.raises(BudgetError, match="degree 12 exceeds cap 11"):
             plethysm_expand(P((2, 1, 1)), P((2, 1)),
                             replace(DEFAULT, plethysm_degree_cap=11))
+
+    def test_targets_match_their_definition(self):
+        for N in range(1, 13):
+            width = _alphabet(P((1,)), N)[0]
+            assert _targets(N) == tuple(
+                (lam, _pack(lam, width))
+                for lam in partitions_of(N, max_length=N)), N
+        # keyed by the degree alone: s_(2)[s_(3)] and s_(3)[s_(2)] share one
+        _targets.cache_clear()
+        plethysm_expand(P((2,)), P((3,)))
+        plethysm_expand(P((3,)), P((2,)))
+        assert _targets.cache_info().misses == 1
+        assert _targets.cache_info().currsize == 1
 
     def test_sym3_of_sym2(self):
         # classical: Sym^3(Sym^2) = S(6) + S(4,2) + S(2,2,2)

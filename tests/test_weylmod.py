@@ -145,6 +145,15 @@ class TestWeylModule:
         with pytest.raises(BudgetError):
             weyl_module(P((2,)), 2, replace(DEFAULT, weyl_dim_cap=2))
 
+    def test_empty_shape_variable_count_capped(self):
+        # dimension 1 at every n, but the model has n^2 variables
+        capped = replace(DEFAULT, weyl_dim_cap=3)
+        assert weyl_module(P(), 3, capped).dimension == 1
+        with pytest.raises(BudgetError, match="n=4 exceeds cap 3"):
+            weyl_module(P(), 4, capped)
+        with pytest.raises(BudgetError, match="exceeds cap 200"):
+            weyl_module(P(), 10 ** 8)
+
     def test_dimension_matches_count(self):
         for lam in [P((2,)), P((2, 1)), P((3, 1))]:
             assert weyl_module(lam, 3).dimension == dim_weyl(lam, 3)
