@@ -15,12 +15,14 @@ a rotated polygon, which only the LP box bounds, ``ehrhart --series 10``
 on a 3-dimensional axis polytope and ``lr stretch --k 10`` on the first
 acceptance stretch query, two ``symfunc plethysm`` calls on
 (2,2) of (3) and (4) of (3), degree 12, through a ``--config`` file that
-raises ``plethysm_degree_cap`` to 12, and last two ``kron coeff`` calls at
-n = 14, the default ``char_table_max_n``: the largest rows the bounded
-Murnaghan-Nakayama memo builds by default. They run in process through
-``weylbox.cli.run``, in a temporary directory that holds the files under relative names. Each
-line is the call's JSON output plus its exit code, keys sorted, without
-``wall_time_s`` and without any ``seconds`` field.
+raises ``plethysm_degree_cap`` to 12, two ``kron coeff`` calls at n = 14,
+the default ``char_table_max_n``: the largest rows the bounded
+Murnaghan-Nakayama memo builds by default, and last ``kron g-stretch`` at
+m = 2 on (1,1) for k = 1..7 and on (2,2) and (3,1) for k = 1..3. They run
+in process through ``weylbox.cli.run``, in a temporary directory that
+holds the files under relative names. Each line is the call's JSON output
+plus its exit code, keys sorted, without ``wall_time_s`` and without any
+``seconds`` field.
 
 ``tests/cli_payloads.jsonl`` holds this output, and a tier-1 test compares
 it call by call; a change that alters a payload updates that file.
@@ -117,6 +119,9 @@ def calls() -> list[list[str]]:
              for pi in ("2,2", "4")]
     long += [["kron", "coeff", "5,4,3,2", "5,4,3,2", "7,7"],
              ["kron", "coeff", "8,6", "8,6", "10,4"]]
+    long += [["kron", "g-stretch", "1,1", "--m", "2", "--k", "7"],
+             ["kron", "g-stretch", "2,2", "--m", "2", "--k", "3"],
+             ["kron", "g-stretch", "3,1", "--m", "2", "--k", "3"]]
     return out + [argv for argv in weyl if argv not in out] + long
 
 

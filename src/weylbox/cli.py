@@ -3,7 +3,9 @@
 Every subcommand prints a single JSON object: the command echo, a
 deterministic payload, a wall-time stamp and the package version. Exit codes:
 0 on success, 1 on a domain error (with a machine-readable error object) or
-when the reader closes stdout early, 2 on usage errors.
+when the reader closes stdout early, 2 on usage errors. Each subcommand is
+one entry of ``COMMANDS``, which the parser, the dispatch and the ``kron``
+shorthand all read; a new subcommand is one more entry.
 """
 
 from __future__ import annotations
@@ -12,11 +14,11 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from . import __version__
 from .acceptance import CRITERIA, format_result, run_criterion
-from .config import Budgets, DEFAULT
+from .config import BudgetError, Budgets, DEFAULT
 from .kronecker import det_stabilizer_invariant_mult, g_stretch, kronecker
 from .lr import (LRQuery, OracleMismatchError, _skew_lr_count, lr_coefficient,
                  lr_positive, lr_stretch)
@@ -46,6 +48,225 @@ def _coeff_map(expansion: dict) -> dict:
     return {lam.serialize(): int(v) for lam, v in sorted(expansion.items())}
 
 
+def _lr_coeff(args, budgets):
+    # lr_coefficient raises OracleMismatchError unless both routes agree
+    value = lr_coefficient(LRQuery(args.alpha, args.beta, args.lam), budgets)
+    return {"tableau": value, "hive": value, "agree": True}
+
+
+def _lr_stretch(args, budgets):
+    q = LRQuery(args.alpha, args.beta, args.lam)
+    series = lr_stretch(q, args.K, budgets)
+    tableau_values = []
+    for k in range(1, args.K + 1):
+        qk = q.scale(k)
+        tableau_values.append(_skew_lr_count(qk.alpha, qk.beta, qk.lam))
+    if list(series.values) != tableau_values:
+        raise OracleMismatchError(
+            f"oracle mismatch for {q}: tableau rule {tableau_values}, "
+            f"hive count {list(series.values)}")
+    return {"hive_values": list(series.values),
+            "tableau_values": tableau_values, "agree": True,
+            "fit": series.fit.to_json() if series.fit else None}
+
+
+def _ehrhart(args, budgets):
+    with open(args.polytope) as fh:
+        pp = ParamPolytope.from_json(json.load(fh))
+    if args.k is None and args.series is None:
+        raise ValueError("need --k or --series")
+    payload = {}
+    if args.k is not None:
+        if args.k > budgets.series_k_cap:
+            raise BudgetError(f"k={args.k} exceeds cap {budgets.series_k_cap}")
+        payload["k"] = args.k
+        payload["count"] = count_integer_points(pp.at(args.k))
+    if args.series is not None:
+        values = ehrhart_counts(pp, args.series, budgets)
+        payload["values"] = list(values)
+        if args.fit:
+            # a failed fit keeps the computed values beside its error
+            try:
+                fit = fit_quasipolynomial(
+                    values, budgets.max_period, budgets.max_degree,
+                    budgets.holdout, skip_prefix=args.skip_prefix)
+            except FitError as exc:
+                payload["error"] = _error(exc)
+            else:
+                payload["fit"] = fit.to_json()
+    return payload
+
+
+def _kron_g_stretch(args, budgets):
+    series = g_stretch(args.lam, args.m, args.K, budgets)
+    return {"values": list(series.values),
+            "fit": series.fit.to_json() if series.fit else None}
+
+
+def _weyl_dim(args, budgets):
+    payload = {"dimension": dim_weyl(args.lam, args.n)}
+    if args.basis:
+        model = weyl_module(args.lam, args.n, budgets)
+        names = matrix_variable_names(args.n)
+        payload["basis"] = [
+            {"tableau": [list(row) for row in T.rows],
+             "polynomial": poly.to_string(names)}
+            for T, poly in zip(model.tableaux, model.basis)]
+    return payload
+
+
+def _weyl_symcheck(args, budgets):
+    dim, basis = symmetry_characterization_space(args.kind, args.size)
+    letter = "y" if args.kind == "det" else "x"
+    names = matrix_variable_names(args.size, letter)
+    return {"dimension": dim,
+            "fixed_line": [p.to_string(names) for p in basis]}
+
+
+def _magic(args, budgets):
+    squares, reps = magic_orbits(args.n, args.r, budgets)
+    payload = {"count": len(squares), "orbits": len(reps)}
+    payload["representatives"] = [[list(row) for row in rep.entries]
+                                  for rep in reps]
+    if args.polys:
+        names = matrix_variable_names(args.n, "x")
+        payload["basic_invariants"] = [
+            basic_invariant_poly(rep).to_string(names) for rep in reps]
+    return payload
+
+
+def _obstruct_emit(args, budgets):
+    certs = [verify_obstruction(cert, args.full, budgets)
+             for cert in emit_obstruction_family(args.max_n, budgets)]
+    payload = {"certificates": [c.to_json() for c in certs]}
+    if args.out:
+        with open(args.out, "w") as fh:
+            json.dump(payload["certificates"], fh, indent=1, sort_keys=True)
+        payload["written"] = args.out
+    return payload
+
+
+def _obstruct_verify(args, budgets):
+    verified = [verify_obstruction(c, args.full, budgets).to_json()
+                for c in read_certificates(args.file)]
+    return {"certificates": verified, "verified": len(verified)}
+
+
+def _accept(args, budgets):
+    keys = [args.only] if args.only else [key for key, _ in CRITERIA]
+    results = []
+    for key in keys:
+        res = run_criterion(key, budgets)
+        print(format_result(res), file=sys.stderr)
+        results.append({"criterion": res.key, "passed": res.passed,
+                        "detail": res.detail,
+                        "seconds": round(res.seconds, 3)})
+    return {"results": results,
+            "all_passed": all(r["passed"] for r in results)}
+
+
+def arg(*names, **kwargs):
+    return names, kwargs
+
+
+def parts(*names):
+    """Positional partition arguments."""
+    return tuple(arg(name, type=_partition) for name in names)
+
+
+LR_TRIPLE = parts("alpha", "beta", "lam")
+STRETCH_K = arg("--k", type=int, required=True, dest="K")
+FULL = arg("--full", action="store_true")
+N = arg("--n", type=int, required=True)
+# the help of each word that groups subcommands
+GROUPS = {"lr": "Littlewood-Richardson coefficients",
+          "symfunc": "symmetric-function oracle",
+          "kron": "Kronecker coefficients",
+          "weyl": "explicit Weyl-module models",
+          "obstruct": "obstruction certificates"}
+# every runnable subcommand by its words, as (help, handler, arguments): the
+# handler maps (args, budgets) to the payload, and each argument is what
+# `add_argument` takes
+COMMANDS = {
+    "lr coeff": ("coefficient by both algorithms", _lr_coeff, LR_TRIPLE),
+    "lr positive": (
+        "positivity by LP feasibility",
+        lambda args, budgets: {"positive": lr_positive(
+            LRQuery(args.alpha, args.beta, args.lam), budgets)},
+        LR_TRIPLE),
+    "lr stretch": (
+        "stretched coefficients and fit", _lr_stretch,
+        (*LR_TRIPLE, STRETCH_K, arg("--max-period", type=int),
+         arg("--holdout", type=int))),
+    "symfunc product": (
+        "Schur expansion of s_alpha*s_beta",
+        lambda args, budgets: {"coefficients": _coeff_map(
+            product_expand(args.alpha, args.beta, budgets))},
+        parts("alpha", "beta")),
+    "symfunc plethysm": (
+        "Schur expansion of s_pi[s_mu]",
+        lambda args, budgets: {"coefficients": _coeff_map(
+            plethysm_expand(args.pi, args.mu, budgets))},
+        parts("pi", "mu")),
+    "ehrhart": (
+        "integer points of a parametrized polytope", _ehrhart,
+        (arg("--polytope", required=True, metavar="FILE",
+             help="JSON file with A, b and optional c"),
+         arg("--k", type=int),
+         arg("--series", type=int, metavar="K", help="counts for k = 1..K"),
+         arg("--fit", action="store_true"),
+         arg("--max-period", type=int), arg("--max-degree", type=int),
+         arg("--holdout", type=int),
+         arg("--skip-prefix", type=int, default=0))),
+    "kron coeff": (
+        "kronecker coefficient",
+        lambda args, budgets: {"kronecker": kronecker(
+            args.lam, args.mu, args.nu, budgets)},
+        parts("lam", "mu", "nu")),
+    "kron det-invariant": (
+        "multiplicity of SL_m x SL_m invariants",
+        lambda args, budgets: {"multiplicity": det_stabilizer_invariant_mult(
+            args.lam, args.m, budgets)},
+        (*parts("lam"), arg("--m", type=int, required=True))),
+    "kron g-stretch": (
+        "stretching function values", _kron_g_stretch,
+        (*parts("lam"), arg("--m", type=int, required=True), STRETCH_K)),
+    "weyl dim": (
+        "dimension of the model", _weyl_dim,
+        (*parts("lam"), arg("n", type=int),
+         arg("--basis", action="store_true",
+             help="include explicit basis polynomials"))),
+    "weyl invariants": (
+        "permanent-stabilizer invariant dimension",
+        lambda args, budgets: {"invariant_dim": perm_stabilizer_invariants(
+            args.gamma, args.n, budgets)},
+        (arg("--gamma", type=_partition, required=True), N)),
+    "weyl symcheck": (
+        "symmetry characterization", _weyl_symcheck,
+        (arg("kind", choices=("det", "perm")),
+         arg("--size", type=int, required=True))),
+    "weyl kempf": (
+        "stability criterion for perm",
+        lambda args, budgets: asdict(
+            kempf_irreducibility_check(args.n, budgets)), (N,)),
+    "magic": (
+        "magic squares and basic invariants", _magic,
+        (arg("n", type=int), arg("r", type=int),
+         arg("--polys", action="store_true",
+             help="include the basic invariants p_A"))),
+    "obstruct emit": (
+        "emit the canonical family", _obstruct_emit,
+        (arg("--max", type=int, required=True, dest="max_n"), FULL,
+         arg("--out", metavar="FILE"))),
+    "obstruct verify": ("verify certificates from a file", _obstruct_verify,
+                        (arg("file"), FULL)),
+    "accept": (
+        "run the acceptance suite", _accept,
+        (arg("--only", metavar="KEY", choices=[key for key, _ in CRITERIA],
+             help="run a single criterion"),)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="weylbox",
@@ -54,246 +275,22 @@ def build_parser() -> argparse.ArgumentParser:
                     "and the explicit obstruction family")
     parser.add_argument("--config", metavar="PATH",
                         help="JSON file overriding resource budgets")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    lr = sub.add_parser("lr", help="Littlewood-Richardson coefficients")
-    lr_sub = lr.add_subparsers(dest="lr_command", required=True)
-    p = lr_sub.add_parser("coeff", help="coefficient by both algorithms")
-    p.add_argument("alpha", type=_partition)
-    p.add_argument("beta", type=_partition)
-    p.add_argument("lam", type=_partition)
-    p = lr_sub.add_parser("positive", help="positivity by LP feasibility")
-    p.add_argument("alpha", type=_partition)
-    p.add_argument("beta", type=_partition)
-    p.add_argument("lam", type=_partition)
-    p = lr_sub.add_parser("stretch", help="stretched coefficients and fit")
-    p.add_argument("alpha", type=_partition)
-    p.add_argument("beta", type=_partition)
-    p.add_argument("lam", type=_partition)
-    p.add_argument("--k", type=int, required=True, dest="K")
-    p.add_argument("--max-period", type=int, default=None)
-    p.add_argument("--holdout", type=int, default=None)
-
-    sf = sub.add_parser("symfunc", help="symmetric-function oracle")
-    sf_sub = sf.add_subparsers(dest="sf_command", required=True)
-    p = sf_sub.add_parser("product", help="Schur expansion of s_alpha*s_beta")
-    p.add_argument("alpha", type=_partition)
-    p.add_argument("beta", type=_partition)
-    p = sf_sub.add_parser("plethysm", help="Schur expansion of s_pi[s_mu]")
-    p.add_argument("pi", type=_partition)
-    p.add_argument("mu", type=_partition)
-
-    p = sub.add_parser("ehrhart", help="integer points of a parametrized polytope")
-    p.add_argument("--polytope", required=True, metavar="FILE",
-                   help="JSON file with A, b and optional c")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--series", type=int, default=None, metavar="K",
-                   help="counts for k = 1..K")
-    p.add_argument("--fit", action="store_true")
-    p.add_argument("--max-period", type=int, default=None)
-    p.add_argument("--max-degree", type=int, default=None)
-    p.add_argument("--holdout", type=int, default=None)
-    p.add_argument("--skip-prefix", type=int, default=0)
-
-    kron = sub.add_parser("kron", help="Kronecker coefficients")
-    kron_sub = kron.add_subparsers(dest="kron_command", required=True)
-    p = kron_sub.add_parser("coeff", help="kronecker coefficient")
-    p.add_argument("lam", type=_partition)
-    p.add_argument("mu", type=_partition)
-    p.add_argument("nu", type=_partition)
-    p = kron_sub.add_parser("det-invariant",
-                            help="multiplicity of SL_m x SL_m invariants")
-    p.add_argument("lam", type=_partition)
-    p.add_argument("--m", type=int, required=True)
-    p = kron_sub.add_parser("g-stretch", help="stretching function values")
-    p.add_argument("lam", type=_partition)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True, dest="K")
-
-    weyl = sub.add_parser("weyl", help="explicit Weyl-module models")
-    weyl_sub = weyl.add_subparsers(dest="weyl_command", required=True)
-    p = weyl_sub.add_parser("dim", help="dimension of the model")
-    p.add_argument("lam", type=_partition)
-    p.add_argument("n", type=int)
-    p.add_argument("--basis", action="store_true",
-                   help="include explicit basis polynomials")
-    p = weyl_sub.add_parser("invariants",
-                            help="permanent-stabilizer invariant dimension")
-    p.add_argument("--gamma", type=_partition, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p = weyl_sub.add_parser("symcheck", help="symmetry characterization")
-    p.add_argument("kind", choices=("det", "perm"))
-    p.add_argument("--size", type=int, required=True)
-    p = weyl_sub.add_parser("kempf", help="stability criterion for perm")
-    p.add_argument("--n", type=int, required=True)
-
-    p = sub.add_parser("magic", help="magic squares and basic invariants")
-    p.add_argument("n", type=int)
-    p.add_argument("r", type=int)
-    p.add_argument("--polys", action="store_true",
-                   help="include the basic invariants p_A")
-
-    obstruct = sub.add_parser("obstruct", help="obstruction certificates")
-    ob_sub = obstruct.add_subparsers(dest="obstruct_command", required=True)
-    p = ob_sub.add_parser("emit", help="emit the canonical family")
-    p.add_argument("--max", type=int, required=True, dest="max_n")
-    p.add_argument("--full", action="store_true")
-    p.add_argument("--out", metavar="FILE", default=None)
-    p = ob_sub.add_parser("verify", help="verify certificates from a file")
-    p.add_argument("file")
-    p.add_argument("--full", action="store_true")
-
-    p = sub.add_parser("accept", help="run the acceptance suite")
-    p.add_argument("--only", default=None, metavar="KEY",
-                   choices=[key for key, _ in CRITERIA],
-                   help="run a single criterion")
-
+    subs = {"": parser.add_subparsers(required=True)}
+    for name, (text, _, args) in COMMANDS.items():
+        group, _, word = name.rpartition(" ")
+        if group not in subs:
+            subs[group] = subs[""].add_parser(
+                group, help=GROUPS[group]).add_subparsers(required=True)
+        p = subs[group].add_parser(word, help=text)
+        for names, kwargs in args:
+            p.add_argument(*names, **kwargs)
+        p.set_defaults(command=name)
     return parser
 
 
 # flags that override a fit bound of the budgets; an explicit value is taken
 # as given (a 0 is refused by the fit), never validated like a config file
 FIT_FLAGS = ("max_period", "max_degree", "holdout")
-
-
-def _dispatch(args: argparse.Namespace, budgets: Budgets) -> dict:
-    cmd = args.command
-    budgets = replace(budgets, **{
-        name: getattr(args, name) for name in FIT_FLAGS
-        if getattr(args, name, None) is not None})
-
-    if cmd == "lr":
-        q = None
-        if args.lr_command in ("coeff", "positive", "stretch"):
-            q = LRQuery(args.alpha, args.beta, args.lam)
-        if args.lr_command == "coeff":
-            # lr_coefficient raises OracleMismatchError unless both routes agree
-            value = lr_coefficient(q, budgets)
-            return {"tableau": value, "hive": value, "agree": True}
-        if args.lr_command == "positive":
-            return {"positive": lr_positive(q, budgets)}
-        series = lr_stretch(q, args.K, budgets)
-        tableau_values = []
-        for k in range(1, args.K + 1):
-            qk = q.scale(k)
-            tableau_values.append(_skew_lr_count(qk.alpha, qk.beta, qk.lam))
-        if list(series.values) != tableau_values:
-            raise OracleMismatchError(
-                f"oracle mismatch for {q}: tableau rule {tableau_values}, "
-                f"hive count {list(series.values)}")
-        return {"hive_values": list(series.values),
-                "tableau_values": tableau_values,
-                "agree": True,
-                "fit": series.fit.to_json() if series.fit else None}
-
-    if cmd == "symfunc":
-        if args.sf_command == "product":
-            return {"coefficients": _coeff_map(
-                product_expand(args.alpha, args.beta, budgets))}
-        return {"coefficients": _coeff_map(
-            plethysm_expand(args.pi, args.mu, budgets))}
-
-    if cmd == "ehrhart":
-        with open(args.polytope) as fh:
-            pp = ParamPolytope.from_json(json.load(fh))
-        if args.k is None and args.series is None:
-            raise ValueError("need --k or --series")
-        payload = {}
-        if args.k is not None:
-            payload["k"] = args.k
-            payload["count"] = count_integer_points(pp.at(args.k))
-        if args.series is not None:
-            values = ehrhart_counts(pp, args.series, budgets)
-            payload["values"] = list(values)
-            if args.fit:
-                # a failed fit keeps the computed values beside its error
-                try:
-                    fit = fit_quasipolynomial(
-                        values, budgets.max_period, budgets.max_degree,
-                        budgets.holdout, skip_prefix=args.skip_prefix)
-                except FitError as exc:
-                    payload["error"] = _error(exc)
-                else:
-                    payload["fit"] = fit.to_json()
-        return payload
-
-    if cmd == "kron":
-        if args.kron_command == "coeff":
-            return {"kronecker": kronecker(args.lam, args.mu, args.nu, budgets)}
-        if args.kron_command == "det-invariant":
-            return {"multiplicity": det_stabilizer_invariant_mult(
-                args.lam, args.m, budgets)}
-        series = g_stretch(args.lam, args.m, args.K, budgets)
-        return {"values": list(series.values),
-                "fit": series.fit.to_json() if series.fit else None}
-
-    if cmd == "weyl":
-        if args.weyl_command == "dim":
-            payload = {"dimension": dim_weyl(args.lam, args.n)}
-            if args.basis:
-                model = weyl_module(args.lam, args.n, budgets)
-                names = matrix_variable_names(args.n)
-                payload["basis"] = [
-                    {"tableau": [list(row) for row in T.rows],
-                     "polynomial": poly.to_string(names)}
-                    for T, poly in zip(model.tableaux, model.basis)]
-            return payload
-        if args.weyl_command == "invariants":
-            dim = perm_stabilizer_invariants(args.gamma, args.n, budgets)
-            return {"invariant_dim": dim}
-        if args.weyl_command == "symcheck":
-            dim, basis = symmetry_characterization_space(args.kind, args.size)
-            letter = "y" if args.kind == "det" else "x"
-            names = [f"{letter}{i + 1}{j + 1}" for i in range(args.size)
-                     for j in range(args.size)]
-            return {"dimension": dim,
-                    "fixed_line": [p.to_string(names) for p in basis]}
-        result = kempf_irreducibility_check(args.n, budgets)
-        return {"stable": result.stable, "degenerate": result.degenerate,
-                "torus_characters_distinct": result.torus_characters_distinct,
-                "permutations_transitive": result.permutations_transitive}
-
-    if cmd == "magic":
-        squares, reps = magic_orbits(args.n, args.r, budgets)
-        payload = {"count": len(squares), "orbits": len(reps)}
-        payload["representatives"] = [[list(row) for row in rep.entries]
-                                      for rep in reps]
-        if args.polys:
-            names = [f"x{i + 1}{j + 1}" for i in range(args.n)
-                     for j in range(args.n)]
-            payload["basic_invariants"] = [
-                basic_invariant_poly(rep).to_string(names) for rep in reps]
-        return payload
-
-    if cmd == "obstruct":
-        if args.obstruct_command == "emit":
-            certs = [verify_obstruction(cert, args.full, budgets)
-                     for cert in emit_obstruction_family(args.max_n, budgets)]
-            payload = {"certificates": [c.to_json() for c in certs]}
-            if args.out:
-                with open(args.out, "w") as fh:
-                    json.dump(payload["certificates"], fh, indent=1,
-                              sort_keys=True)
-                payload["written"] = args.out
-            return payload
-        certs = read_certificates(args.file)
-        verified = [verify_obstruction(c, args.full, budgets).to_json()
-                    for c in certs]
-        return {"certificates": verified, "verified": len(verified)}
-
-    if cmd == "accept":
-        keys = [args.only] if args.only else [key for key, _ in CRITERIA]
-        results = []
-        for key in keys:
-            res = run_criterion(key, budgets)
-            print(format_result(res), file=sys.stderr)
-            results.append({"criterion": res.key, "passed": res.passed,
-                            "detail": res.detail,
-                            "seconds": round(res.seconds, 3)})
-        return {"results": results,
-                "all_passed": all(r["passed"] for r in results)}
-
-    raise ValueError(f"unhandled command {cmd}")  # pragma: no cover
 
 
 def run(argv: list[str]) -> int:
@@ -303,17 +300,20 @@ def run(argv: list[str]) -> int:
     i = 0
     while argv[i:i + 1] and argv[i].startswith("--config"):
         i += 1 if "=" in argv[i] else 2
-    if argv[i:i + 1] == ["kron"] and len(argv) > i + 1 and argv[i + 1] not in (
-            "coeff", "det-invariant", "g-stretch", "-h", "--help"):
+    if argv[i:i + 1] == ["kron"] and argv[i + 1:] and argv[i + 1] not in (
+            "-h", "--help") and f"kron {argv[i + 1]}" not in COMMANDS:
         argv.insert(i + 1, "coeff")
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
         budgets = Budgets.from_json(args.config) if args.config else DEFAULT
-        payload = _dispatch(args, budgets)
-        ok = "error" not in payload and (
-            args.command != "accept" or payload["all_passed"])
+        budgets = replace(budgets, **{
+            name: getattr(args, name) for name in FIT_FLAGS
+            if getattr(args, name, None) is not None})
+        _, handler, _ = COMMANDS[args.command]
+        payload = handler(args, budgets)
+        ok = "error" not in payload and payload.get("all_passed", True)
     except (ValueError, RuntimeError, OSError) as exc:
         payload = {"error": _error(exc)}
         ok = False

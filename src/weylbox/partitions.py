@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 from typing import Iterator
 
 
@@ -233,23 +234,26 @@ def _kostka(lam: Partition, content: tuple[int, ...]) -> int:
 @lru_cache(maxsize=None)
 def dim_weyl(lam: Partition, n: int) -> int:
     """Dimension of the irreducible polynomial GL_n representation labelled
-    by lam, by the hook-content formula prod (n + c - r) / hook(r, c) over
-    the cells (Stanley, EC2 Cor. 7.21.4). It counts the semistandard
-    tableaux of shape lam over 1..n; ``count_ssyt`` is its test oracle.
-    Raises ValueError for n < 0; n = 0 is the zero-variable case."""
+    by lam, by Weyl's formula prod_{i<j<=n} (lam_i - lam_j + j - i)/(j - i)
+    (Fulton-Harris Thm. 6.3). With l = len(lam), the pairs with j > l give
+    row i the ratio C(lam_i + n - i, lam_i) / C(lam_i + l - i, lam_i), so
+    the cost grows with l, not with n or |lam|. A per-row quotient need not
+    be an integer, so all factors are multiplied out before one division.
+    It counts the semistandard tableaux of shape lam over 1..n;
+    ``count_ssyt`` is its test oracle. Raises ValueError for n < 0; n = 0
+    is the zero-variable case."""
     lam = Partition(lam)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if not lam:
-        return 1
     if len(lam) > n:
         return 0
-    cols = conjugate(lam)
     num = den = 1
-    for r, width in enumerate(lam):
-        for c in range(width):
-            num *= n + c - r
-            den *= (width - c) + (cols[c] - r) - 1
+    for i, part in enumerate(lam):
+        for j in range(i + 1, len(lam)):
+            num *= part - lam[j] + j - i
+            den *= j - i
+        num *= comb(part + n - 1 - i, part)
+        den *= comb(part + len(lam) - 1 - i, part)
     return num // den
 
 

@@ -121,8 +121,8 @@ class MultiPoly:
         return f"MultiPoly({self.to_string()})"
 
 
-def matrix_variable_names(n: int) -> list[str]:
-    return [f"z{i + 1}{j + 1}" for i in range(n) for j in range(n)]
+def matrix_variable_names(n: int, letter: str = "z") -> list[str]:
+    return [f"{letter}{i + 1}{j + 1}" for i in range(n) for j in range(n)]
 
 
 def _var(n: int, i: int, j: int) -> int:
@@ -259,14 +259,18 @@ def weyl_module(lam: Partition, n: int,
 
 
 def _capped_dim(lam: Partition, n: int, budgets: Budgets) -> int:
-    """dim_weyl(lam, n), refused above ``weyl_dim_cap``, and so is n: the
-    model lives in n^2 variables, and a shape with fewer than n rows, but
-    not none, has dimension at least n already."""
+    """dim_weyl(lam, n), refused above ``weyl_dim_cap``, and so are n and
+    |lam|: the model lives in n^2 variables, a shape with fewer than n rows,
+    but not none, has dimension at least n already, and the basis has
+    degree |lam| even where the dimension is 1, as for a power of det."""
     dim = dim_weyl(lam, n)
     if dim > budgets.weyl_dim_cap:
         raise BudgetError(f"dim {dim} exceeds cap {budgets.weyl_dim_cap}")
     if n > budgets.weyl_dim_cap:
         raise BudgetError(f"n={n} exceeds cap {budgets.weyl_dim_cap}")
+    if lam.size > budgets.weyl_dim_cap:
+        raise BudgetError(
+            f"|lam|={lam.size} exceeds cap {budgets.weyl_dim_cap}")
     return dim
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import os
@@ -16,6 +17,21 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, json.loads(captured.out)
+
+
+@contextlib.contextmanager
+def within_a_second(argv):
+    """Fail with an AssertionError if the body runs for over a second."""
+    def timeout(signum, frame):
+        raise AssertionError(f"{argv} still running after 1 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def config(tmp_path, **budgets):
@@ -240,6 +256,20 @@ class TestWeyl:
         code, out = invoke(capsys, "weyl", "dim", "8,6,4,2", "10")
         assert code == 0 and out["payload"]["dimension"] == expected
 
+    def test_dim_one_huge_row(self, capsys):
+        # Sym^N of C^2 has dimension N + 1, by rows and not by cells
+        with within_a_second("weyl dim 10000000 2"):
+            code, out = invoke(capsys, "weyl", "dim", "10000000", "2")
+        assert code == 0 and out["payload"]["dimension"] == 10000001
+
+    @pytest.mark.parametrize("argv", [("100000000", "1"), ("300,300", "2")])
+    def test_basis_of_huge_degree_refused(self, capsys, argv):
+        # dimension 1 at any degree: z11^N, and a power of the determinant
+        with within_a_second(argv):
+            code, out = invoke(capsys, "weyl", "dim", *argv, "--basis")
+        assert code == 1
+        assert out["payload"]["error"]["type"] == "BudgetError"
+
     @pytest.mark.parametrize("argv", [("2,1", "-3", "--basis"), ("", "-1")])
     def test_dim_negative_n_refused(self, capsys, argv):
         code, out = invoke(capsys, "weyl", "dim", *argv)
@@ -461,38 +491,36 @@ class TestTopLevel:
 
 
 SEGMENT = {"A": [["1"], ["-1"]], "b": ["1", "0"]}  # 0 <= x <= 1
+# x, y >= 0 and x + y <= 1: its count at k loops k + 1 times
+TRIANGLE = {"A": [["-1", "0"], ["0", "-1"], ["1", "1"]], "b": ["0", "0", "1"]}
 
 
 class TestLoopBudgets:
-    """The four arguments that size a loop (stretch length, series length,
-    family size, Kempf n) are refused above their budget before any work,
-    as a JSON BudgetError with exit code 1, each under a one-second alarm."""
+    """The arguments that size a loop (stretch length, series length, the k
+    of `ehrhart --k`, family size, Kempf n) are refused above their budget
+    before any work, as a JSON BudgetError with exit code 1, each under a
+    one-second alarm."""
 
     HUGE = [("lr", "stretch", "1", "1", "2", "--k", "100000000"),
             ("ehrhart", "--polytope", "SEG", "--series", "100000000"),
             ("obstruct", "emit", "--max", "100000000"),
-            ("weyl", "kempf", "--n", "3000")]
+            ("weyl", "kempf", "--n", "3000"),
+            ("ehrhart", "--polytope", "TRI", "--k", "100000000")]
 
     @staticmethod
     def argv(tmp_path, argv):
-        """argv with SEG replaced by the path of a file holding SEGMENT."""
-        seg = tmp_path / "seg.json"
-        seg.write_text(json.dumps(SEGMENT))
-        return [str(seg) if a == "SEG" else a for a in argv]
+        """argv with SEG and TRI replaced by the paths of files holding
+        SEGMENT and TRIANGLE."""
+        files = {"SEG": SEGMENT, "TRI": TRIANGLE}
+        for name, data in files.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(data))
+        return [str(tmp_path / f"{a}.json") if a in files else a
+                for a in argv]
 
     def refused(self, capsys, tmp_path, *argv):
         argv = self.argv(tmp_path, argv)
-
-        def timeout(signum, frame):
-            raise AssertionError(f"{argv} still running after 1 s")
-
-        previous = signal.signal(signal.SIGALRM, timeout)
-        signal.setitimer(signal.ITIMER_REAL, 1.0)
-        try:
+        with within_a_second(argv):
             code, out = invoke(capsys, *argv)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
         assert code == 1
         assert out["payload"]["error"]["type"] == "BudgetError"
         return out["payload"]["error"]["message"]
@@ -506,6 +534,7 @@ class TestLoopBudgets:
         ("series_k_cap", 5, ("ehrhart", "--polytope", "SEG", "--series", "6")),
         ("emit_n_cap", 3, ("obstruct", "emit", "--max", "4")),
         ("kempf_n_cap", 2, ("weyl", "kempf", "--n", "3")),
+        ("series_k_cap", 5, ("ehrhart", "--polytope", "TRI", "--k", "6")),
     ])
     def test_config_cap_refuses(self, capsys, tmp_path, cap, value, argv):
         path = config(tmp_path, **{cap: value})
@@ -516,7 +545,8 @@ class TestLoopBudgets:
         ("lr", "stretch", "1", "1", "2", "--k", "4"),
         ("ehrhart", "--polytope", "SEG", "--series", "5"),
         ("obstruct", "emit", "--max", "3"),
-        ("weyl", "kempf", "--n", "2")])
+        ("weyl", "kempf", "--n", "2"),
+        ("ehrhart", "--polytope", "TRI", "--k", "5")])
     def test_at_the_cap_runs(self, capsys, tmp_path, argv):
         caps = {"stretch_k_cap": 4, "series_k_cap": 5, "emit_n_cap": 3,
                 "kempf_n_cap": 2}

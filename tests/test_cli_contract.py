@@ -2,18 +2,20 @@
 
 Every call of ``cli.run`` exits 0, 1 or 2 within its alarm; exits 0 and 1
 print exactly one JSON object, and nothing prints a traceback. The grammar
-covers every subcommand and flag, with negative, zero, huge and malformed
-values, so a loop-sizing argument whose budget is gone runs past its alarm.
+holds one strategy per entry of ``cli.COMMANDS`` and covers every flag,
+with negative, zero, huge and malformed values, so a loop-sizing argument
+whose budget is gone runs past its alarm.
 
 Shapes stay small: partitions of at most 4, and in-budget integers of at
-most 7. Only argument budgets exist so far, no work budgets (ROADMAP item
+most 7. The one exception is ``weyl dim``, which also draws a huge one-row
+shape at a small n: its dimension formula costs a step per row, not per
+cell. Only argument budgets exist so far, no work budgets (ROADMAP item
 6), and a call inside every argument budget can still run for a long time:
-``weyl dim 100000000 2`` multiplies out a hook product over every cell of
-its shape and does not end within a minute, and ``magic 4 8`` takes 47 s.
-Widen the grammar once work budgets refuse such calls.
+``magic 4 8`` takes 47 s, and ``weyl dim 1000000 1000000`` 35 s, since its
+answer has 2 million bits. Widen the grammar once work budgets refuse such
+calls.
 """
 
-import argparse
 import contextlib
 import io
 import json
@@ -23,7 +25,8 @@ from pathlib import Path
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from weylbox.cli import build_parser, run
+from weylbox import cli
+from weylbox.cli import run
 
 ALARM_S = 2.0
 REFIRE_S = 0.25
@@ -58,6 +61,9 @@ FILES = {
     "square.json": {"A": [["1", "0"], ["-1", "0"], ["0", "1"], ["0", "-1"]],
                     "b": ["1", "0", "1", "0"]},
     "unbounded.json": {"A": [["-1"]], "b": ["0"]},
+    # x, y >= 0 and x + y <= 1: at k the count loops k + 1 times
+    "triangle.json": {"A": [["-1", "0"], ["0", "-1"], ["1", "1"]],
+                      "b": ["0", "0", "1"]},
     "certificates.json": [{"n": 2, "gamma": "2,2"}, {"n": 3, "gamma": "4,2"}],
     # budgets lowered below the defaults, and ones that are refused
     "lowered.json": {"stretch_k_cap": 5, "series_k_cap": 5, "emit_n_cap": 5,
@@ -91,7 +97,7 @@ def grammar(home):
     def files(*names):
         return st.sampled_from([str(home / name) for name in names])
 
-    poly = st.one_of(files("segment.json", "square.json"),
+    poly = st.one_of(files("segment.json", "square.json", "triangle.json"),
                      files("segment.json", "unbounded.json", "list.json",
                            "malformed.json", "absent.json"))
     certs = files("certificates.json", "segment.json", "malformed.json",
@@ -119,7 +125,10 @@ def grammar(home):
         "obstruct verify": call("obstruct", "verify", certs, flag("--full")),
         "symfunc plethysm": call("symfunc", "plethysm", PART, PART),
         "symfunc product": call("symfunc", "product", PART, PART),
-        "weyl dim": call("weyl", "dim", PART, INT, flag("--basis")),
+        "weyl dim": st.one_of(
+            call("weyl", "dim", PART, INT, flag("--basis")),
+            call("weyl", "dim", HUGE, st.sampled_from(["0", "1", "2", "7"]),
+                 flag("--basis"))),
         "weyl invariants": st.one_of(
             call("weyl", "invariants", "--gamma", PART, "--n", INT),
             st.integers(1, 2).flatmap(lambda n: call(
@@ -182,18 +191,7 @@ def home(tmp_path_factory):
     return home
 
 
-def leaves(parser, prefix=()):
-    """Every runnable subcommand of ``parser``, as its words joined by
-    spaces."""
-    subs = [action for action in parser._actions
-            if isinstance(action, argparse._SubParsersAction)]
-    if not subs:
-        return [" ".join(prefix)]
-    return [leaf for name, sub in subs[0].choices.items()
-            for leaf in leaves(sub, (*prefix, name))]
-
-
-COMMANDS = sorted(leaves(build_parser()))
+COMMANDS = sorted(cli.COMMANDS)
 
 
 def test_grammar_covers_every_command():

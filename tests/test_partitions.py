@@ -149,6 +149,26 @@ class TestKostka:
         assert kostka(lam, content) == expected
 
 
+def hook_content_dim(lam, n):
+    """The hook-content formula prod (n + c - r) / hook(r, c) over the cells
+    of lam (Stanley, EC2 Cor. 7.21.4): a reference for ``dim_weyl``, which
+    uses Weyl's formula by rows."""
+    if len(lam) > n:
+        return 0
+    cols = conjugate(lam)
+    num = den = 1
+    for r, width in enumerate(lam):
+        for c in range(width):
+            num *= n + c - r
+            den *= (width - c) + (cols[c] - r) - 1
+    return num // den
+
+
+# parts up to 40 in up to 7 rows, so the rows' ratios have large binomials
+wide_partitions = st.lists(st.integers(0, 40), max_size=7).map(
+    lambda parts: Partition(sorted(parts, reverse=True)))
+
+
 class TestDimWeyl:
     def test_standard(self):
         for n in range(1, 6):
@@ -182,6 +202,12 @@ class TestDimWeyl:
     @settings(max_examples=60, deadline=None)
     def test_hook_content_is_ssyt_count(self, lam, n):
         assert dim_weyl(lam, n) == count_ssyt(lam, n)
+
+    @given(st.one_of(partition_strategy, wide_partitions),
+           st.integers(0, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_weyl_formula_is_hook_content(self, lam, n):
+        assert dim_weyl(lam, n) == hook_content_dim(lam, n)
 
     def test_count_matches_enumeration(self):
         for shape in [(2, 1), (3,), (2, 2), (3, 1)]:
