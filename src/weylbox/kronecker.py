@@ -99,8 +99,6 @@ def kronecker(lam: Partition, mu: Partition, nu: Partition,
     if n > budgets.char_table_max_n:
         raise BudgetError(f"character table budget exceeded: "
                           f"n={n} > {budgets.char_table_max_n}")
-    if n == 0:
-        return 1
     total = sum(z * a * b * c for z, a, b, c in zip(
         _class_sizes(n), _character_row(tuple(lam)),
         _character_row(tuple(mu)), _character_row(tuple(nu))))

@@ -60,23 +60,18 @@ class StretchSeries:
     fit: QuasiPolynomial | None
 
 
-def _hive_side(q: LRQuery, side: int | None) -> int:
-    """The side n of q's hive, checked against the sizes and lengths."""
+def _hive_side(q: LRQuery) -> int:
+    """The side n of q's hive, its longest length, after the size check."""
     if not q.sizes_match():
         raise ValueError(
             f"size mismatch: |lam|={q.lam.size} != |alpha|+|beta|="
             f"{q.alpha.size + q.beta.size}")
-    n = max(len(q.alpha), len(q.beta), len(q.lam), 1)
-    if side is not None:
-        if side < n:
-            raise ValueError(f"side {side} too small for lengths up to {n}")
-        n = side
-    return n
+    return max(len(q.alpha), len(q.beta), len(q.lam), 1)
 
 
-def _capped_side(q: LRQuery, side: int | None, budgets: Budgets) -> int:
+def _capped_side(q: LRQuery, budgets: Budgets) -> int:
     """``_hive_side``, then refused when it exceeds the hive side cap."""
-    n = _hive_side(q, side)
+    n = _hive_side(q)
     if n > budgets.hive_side_cap:
         raise BudgetError(f"hive side {n} exceeds cap {budgets.hive_side_cap}")
     return n
@@ -130,11 +125,11 @@ def _hive_template(n: int):
     return tuple(rows.items())
 
 
-def _hive_rows(q: LRQuery, side: int | None = None):
+def _hive_rows(q: LRQuery, n: int):
     """Integer (A, b) of the hive polytope (see ``hive_polytope``): the
     side-n template with this query's boundary partial sums filled in. The
-    side cap is the caller's check."""
-    n = _hive_side(q, side)
+    side n, at least q's longest length, and its cap are the caller's
+    checks."""
     sums = list(accumulate(q.alpha.padded(n) + q.beta.padded(n), initial=0))
     sums += accumulate(q.lam.padded(n))
     A, b = [], []
@@ -148,8 +143,7 @@ def _hive_rows(q: LRQuery, side: int | None = None):
     return A, b
 
 
-def hive_polytope(q: LRQuery, side: int | None = None,
-                  budgets: Budgets = DEFAULT) -> ParamPolytope:
+def hive_polytope(q: LRQuery, budgets: Budgets = DEFAULT) -> ParamPolytope:
     """The hive model for c^lam_{alpha,beta}, in interior coordinates.
 
     A hive of side n is a triangular array indexed by (i, j, k) with
@@ -169,7 +163,7 @@ def hive_polytope(q: LRQuery, side: int | None = None,
     The rows come from a per-side template (``_hive_template``), so a query
     only fills in its boundary partial sums; the side cap is checked first.
     """
-    return ParamPolytope(*_hive_rows(q, _capped_side(q, side, budgets)))
+    return ParamPolytope(*_hive_rows(q, _capped_side(q, budgets)))
 
 
 def _skew_lr_count(alpha: Partition, beta: Partition, lam: Partition) -> int:
@@ -184,8 +178,6 @@ def _skew_lr_count(alpha: Partition, beta: Partition, lam: Partition) -> int:
     a = alpha.padded(rows)
     if any(a[r] > lam[r] for r in range(rows)):
         return 0
-    if not beta:
-        return 1 if lam == alpha else 0
     nletters = len(beta)
     # cells in reverse reading order: per row, right to left
     cells = [(r, c) for r in range(rows) for c in range(lam[r] - 1, a[r] - 1, -1)]
@@ -220,17 +212,16 @@ def _skew_lr_count(alpha: Partition, beta: Partition, lam: Partition) -> int:
 
 
 @lru_cache(maxsize=8)
-def _reduced_hive(q: LRQuery, side: int) -> _Reduced:
-    """The side-``side`` hive of q, reduced once and shared by the
-    coefficient, positivity and stretch queries on q. It holds only the
-    reduction, never an answer, and no budget: callers check the side cap
-    first."""
-    return _Reduced(*_hive_rows(q, side))
+def _reduced_hive(q: LRQuery, n: int) -> _Reduced:
+    """The side-n hive of q, reduced once and shared by the coefficient,
+    positivity and stretch queries on q. It holds only the reduction, never
+    an answer, and no budget: callers check the side and its cap first."""
+    return _Reduced(*_hive_rows(q, n))
 
 
 def _hive(q: LRQuery, budgets: Budgets) -> _Reduced:
     """The shared reduction of q's hive, after the side-cap check."""
-    return _reduced_hive(q, _capped_side(q, None, budgets))
+    return _reduced_hive(q, _capped_side(q, budgets))
 
 
 def lr_coefficient(q: LRQuery, budgets: Budgets = DEFAULT) -> int:

@@ -91,10 +91,7 @@ def magic_orbits(n: int, r: int, budgets: Budgets = DEFAULT
                 col_left[j] += row[j]
             rows_acc.pop()
 
-    if n == 1:
-        squares.append(MagicSquare(1, ((r,),)))
-    else:
-        fill(0)
+    fill(0)
     forms = sorted({sq.canonical_form() for sq in squares})
     return squares, [MagicSquare(n, f) for f in forms]
 

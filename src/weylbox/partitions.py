@@ -71,14 +71,11 @@ def is_even(gamma: Partition) -> bool:
     return all(p % 2 == 0 for p in Partition(gamma))
 
 
-def partitions_of(n: int, max_length: int | None = None,
-                  max_part: int | None = None) -> Iterator[Partition]:
+def partitions_of(n: int, max_length: int | None = None) -> Iterator[Partition]:
     """All partitions of n, largest part first, in lexicographically
     decreasing order."""
     if n < 0:
         return
-    if max_part is None:
-        max_part = n
     if max_length is None:
         max_length = n
 
@@ -93,7 +90,7 @@ def partitions_of(n: int, max_length: int | None = None,
             yield from rec(remaining - part, part, room - 1, prefix)
             prefix.pop()
 
-    yield from rec(n, max_part, max_length, [])
+    yield from rec(n, n, max_length, [])
 
 
 def weak_compositions(total: int, caps) -> Iterator[tuple[int, ...]]:
@@ -147,10 +144,8 @@ class Tableau:
     def shape(self) -> Partition:
         return Partition(len(r) for r in self.rows)
 
-    def content(self, max_entry: int | None = None) -> tuple[int, ...]:
+    def content(self, max_entry: int) -> tuple[int, ...]:
         """Multiplicity vector of the entries 1..max_entry."""
-        if max_entry is None:
-            max_entry = max((e for row in self.rows for e in row), default=0)
         counts = [0] * max_entry
         for row in self.rows:
             for e in row:

@@ -217,15 +217,12 @@ def _simplex(A, b, c) -> tuple[str, Fraction | None]:
         run_phase(ncols)  # phase 1 is always bounded below by 0
         if z[-1] != 0:
             return "infeasible", None
-        # drive any artificial still in the basis out (or drop its row)
+        # drive any artificial still in the basis out: every row has its own
+        # slack column and the slack block stays nonsingular under pivots, so
+        # the row has a nonzero entry left of the artificials
         for i in range(m):
             if basis[i] >= 2 * n + m:
-                j = next((j for j in range(2 * n + m) if rows[i][j]), -1)
-                if j >= 0:
-                    pivot(i, j)
-                else:
-                    # redundant row: zero it so it never constrains again
-                    rows[i] = [0] * (ncols + 1)
+                pivot(i, next(j for j in range(2 * n + m) if rows[i][j]))
 
     cost, cden = clear_denominators(c)
     if not any(cost):
@@ -411,12 +408,14 @@ class _Reduced:
         if status == "empty":
             return None
         if any(lo is None or hi is None for lo, hi in boxes):
-            # propagation could not certify boundedness: decide exactly by LP
-            if _simplex(self.A, rhs, [0] * nfree)[0] == "infeasible":
+            # propagation could not certify boundedness: decide exactly by
+            # LP, whose first bound also finds an empty set
+            try:
+                boxes = [(lo, hi) if lo is not None and hi is not None
+                         else _coordinate_bounds(self.A, rhs, nfree, i)
+                         for i, (lo, hi) in enumerate(boxes)]
+            except InfeasibleError:
                 return None
-            boxes = [(lo, hi) if lo is not None and hi is not None
-                     else _coordinate_bounds(self.A, rhs, nfree, i)
-                     for i, (lo, hi) in enumerate(boxes)]
         return boxes
 
     @cached_property

@@ -122,12 +122,10 @@ def schur(lam: Partition, N: int) -> SymPoly:
     if len(lam) > N:
         return SymPoly(N, {})
     terms = {}
-    for mu in partitions_of(lam.size, max_length=max(N, 1)):
-        k = kostka(lam, tuple(mu)) if lam else 1
+    for mu in partitions_of(lam.size, max_length=N):
+        k = kostka(lam, tuple(mu))
         if k:
             terms[mu] = k
-    if not lam:
-        terms = {Partition(): 1}
     return SymPoly(N, terms)
 
 
@@ -145,8 +143,6 @@ def schur_expand(f: SymPoly) -> dict[Partition, object]:
     while work:
         top = max(work)
         coeff = work.pop(top)
-        if coeff == 0:
-            continue
         out[top] = coeff
         for key, c in schur(top, f.num_vars).terms.items():
             if key == top:

@@ -11,8 +11,9 @@ product of integer factor polynomials, one per distinct column set, and the
 basis is the case G = I. In lexicographic monomial order each e_T has the
 leading monomial prod z_{i,T(i,j)} with coefficient 1, and distinct T give
 distinct leading monomials (standard monomial theory), so the basis is
-unitriangular: subtracting e_T along the leading monomials, largest first,
-gives integer coordinates and hence the action matrix.
+unitriangular and hence independent, as ``_unitriangular_leads`` checks. The
+action matrix's coordinates come from one exact ``linalg.solve_columns``
+over the monomials of the basis and the images.
 
 Every fixed space is solved by one exact kernel, ``_monomial_kernel``: the
 combinations of given polynomials that a list of operators kills. An
@@ -26,9 +27,10 @@ alone: only its e_T are built, and their number is checked against the
 Kostka number K_{gamma, (2^n)}. The symmetry characterizations
 of the determinant and the permanent, and the invariant-ring check in
 ``obstructions``, need no module: they take the kernel on the torus-fixed
-monomials. None of these builds an action matrix; ``group_action_matrix``
-is the public action of a general g. Last comes the concrete
-irreducibility criterion behind the permanent's stability.
+monomials. None of these builds an action matrix or solves for
+coordinates; ``group_action_matrix`` is the public action of a general g.
+Last comes the concrete irreducibility criterion behind the permanent's
+stability.
 """
 
 from __future__ import annotations
@@ -208,39 +210,16 @@ def deruyts_generator(T: Tableau, n: int) -> MultiPoly:
 
 @dataclass(frozen=True)
 class WeylModuleModel:
-    """Basis {e_T : T semistandard} of the GL_n irreducible labelled by lam,
-    with leads: each basis index and the leading monomial of its e_T, by
-    decreasing monomial."""
+    """Basis {e_T : T semistandard} of the GL_n irreducible labelled by lam."""
 
     lam: Partition
     n: int
     tableaux: tuple[Tableau, ...]
     basis: tuple[MultiPoly, ...]
-    leads: tuple[tuple[int, tuple[int, ...]], ...]
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
-
-    def coordinates_of(self, polys: list[MultiPoly]) -> list[list]:
-        """Exact coordinates of each poly in the e_T basis, in the polys' own
-        arithmetic (integer polys give integers): walking the leads in order,
-        the coefficient left on a lead is the coordinate of its e_T, which is
-        then subtracted. Raises when a poly falls outside the span (that is a
-        bug, never a value)."""
-        X = [[0] * len(polys) for _ in self.basis]
-        for j, poly in enumerate(polys):
-            work = dict(poly.terms)
-            for i, lead in self.leads:
-                c = work.get(lead)
-                if c:
-                    X[i][j] = c
-                    for e, v in self.basis[i].terms.items():
-                        work[e] = work.get(e, 0) - c * v
-            if any(work.values()):
-                raise RuntimeError(
-                    "polynomial leaves the Weyl-module span: basis bug")
-        return X
 
 
 def weyl_module(lam: Partition, n: int,
@@ -255,7 +234,8 @@ def weyl_module(lam: Partition, n: int,
     if dim != len(tableaux):
         raise RuntimeError("tableau enumeration disagrees with dimension")
     basis = tuple(_column_minor_products(n, tableaux))
-    return WeylModuleModel(lam, n, tableaux, basis, _unitriangular_leads(basis))
+    _unitriangular_leads(basis)
+    return WeylModuleModel(lam, n, tableaux, basis)
 
 
 def _capped_dim(lam: Partition, n: int, budgets: Budgets) -> int:
@@ -274,18 +254,15 @@ def _capped_dim(lam: Partition, n: int, budgets: Budgets) -> int:
     return dim
 
 
-def _unitriangular_leads(polys) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Each index with the leading monomial of its poly, by decreasing
-    monomial. Raises unless every lead has coefficient 1 and no two polys
-    share a lead, which makes the polys linearly independent."""
-    leads = tuple(sorted(((i, max(p.terms, default=()))
-                          for i, p in enumerate(polys)),
-                         key=lambda lead: lead[1], reverse=True))
-    if any(polys[i].terms.get(e) != 1 for i, e in leads) or \
-            len({e for _, e in leads}) != len(polys):
+def _unitriangular_leads(polys) -> None:
+    """Raises unless the leading monomial of every poly has coefficient 1
+    and no two polys share one, which makes the polys linearly
+    independent."""
+    leads = [max(p.terms, default=()) for p in polys]
+    if any(p.terms.get(e) != 1 for p, e in zip(polys, leads)) or \
+            len(set(leads)) != len(polys):
         raise RuntimeError("basis is not unitriangular: leading monomials"
                            " repeat or have a coefficient other than 1")
-    return leads
 
 
 def group_action_matrix(M: WeylModuleModel, g) -> tuple[tuple[Fraction, ...], ...]:
@@ -294,8 +271,11 @@ def group_action_matrix(M: WeylModuleModel, g) -> tuple[tuple[Fraction, ...], ..
     matrix(gh) = matrix(g) matrix(h).
 
     g is scaled to the integer matrix G = D g. Every e_T is homogeneous of
-    degree |lam|, so e_T(Z g) = D^-|lam| e_T(Z G): the reduction runs on
-    integers and only its result is scaled back.
+    degree |lam|, so e_T(Z g) = D^-|lam| e_T(Z G): the basis and the images
+    are written as integer rows over their monomials, one exact
+    ``linalg.solve_columns`` gives the coordinates, and only its result is
+    scaled back. Raises ValueError when an image leaves the span (that is a
+    bug, never a value).
     """
     n = M.n
     g = [[Fraction(x) for x in row] for row in g]
@@ -305,9 +285,13 @@ def group_action_matrix(M: WeylModuleModel, g) -> tuple[tuple[Fraction, ...], ..
         raise ValueError("singular matrix cannot act on the module")
     flat, D = linalg.clear_denominators([x for row in g for x in row])
     G = [flat[i:i + n] for i in range(0, n * n, n)]
-    X = M.coordinates_of(_column_minor_products(n, M.tableaux, G))
+    images = _column_minor_products(n, M.tableaux, G)
+    monomials = dict.fromkeys(e for p in (*M.basis, *images) for e in p.terms)
+    X = linalg.solve_columns(
+        [[p.terms.get(e, 0) for p in M.basis] for e in monomials],
+        [[p.terms.get(e, 0) for p in images] for e in monomials])
     scale = D ** M.lam.size
-    return tuple(tuple(Fraction(x, scale) for x in row) for row in X)
+    return tuple(tuple(x / scale for x in row) for row in X)
 
 
 def perm_generators(n: int) -> list[list[int]]:

@@ -186,7 +186,9 @@ class TestEhrhart:
         {"A": [["1"]], "c": ["0"]},
         {"A": [["1"], -1], "b": ["1", "0"]},
         {"A": [["1"]], "b": "1"},
-        {"A": [["1"], ["-1"]], "b": ["1", "0"], "c": "00"}])
+        {"A": [["1"], ["-1"]], "b": ["1", "0"], "c": "00"},
+        {"A": [["1"], ["-1"]], "b": ["1"]},
+        {"A": [["1"], ["-1"]], "b": ["1", "0"], "c": ["0"]}])
     @pytest.mark.parametrize("query", [("--k", "1"), ("--series", "2")])
     def test_malformed_file_refused(self, capsys, tmp_path, data, query):
         path = tmp_path / "bad.json"
@@ -482,6 +484,23 @@ class TestTopLevel:
         [result] = out["payload"]["results"]
         assert not result["passed"]
         assert result["detail"].startswith("FitError")
+
+    @pytest.mark.parametrize("data,argv,error", [
+        ([1], ("--config", "FILE", "lr", "positive", "1", "1", "2"),
+         {"type": "ValueError", "message": "budget config must be a JSON object"}),
+        ([{"n": 0, "gamma": ""}], ("obstruct", "verify", "FILE"),
+         {"type": "ObstructionError",
+          "message": "not an obstruction: empty gamma"}),
+    ], ids=["config-not-an-object", "empty-gamma"])
+    def test_file_refused_with_its_error(self, capsys, tmp_path, data, argv,
+                                         error):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        code = run([str(path) if a == "FILE" else a for a in argv])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "Traceback" not in captured.err
+        assert json.loads(captured.out)["payload"]["error"] == error
 
     def test_config_missing_file_refused(self, capsys, tmp_path):
         code, out = invoke(capsys, "--config", str(tmp_path / "absent.json"),

@@ -9,7 +9,7 @@ from weylbox.lr import (LRQuery, OracleMismatchError, hive_polytope,
                         lr_coefficient, lr_positive, lr_stretch, _hive_rows,
                         _reduced_hive, _skew_lr_count)
 from weylbox.partitions import Partition, partitions_of
-from weylbox.polytope import _Reduced, count_integer_points
+from weylbox.polytope import ParamPolytope, _Reduced, count_integer_points
 from weylbox.symfunc import product_expand
 
 P = Partition
@@ -20,13 +20,10 @@ def q(a, b, lam):
     return LRQuery(P(a), P(b), P(lam))
 
 
-def reference_hive_rows(q: LRQuery, side=None):
-    """The hive rows built rhombus by rhombus, as ``hive_polytope`` did
-    before the per-side template: the reference the template must equal."""
-    n = max(len(q.alpha), len(q.beta), len(q.lam), 1)
-    if side is not None:
-        n = side
-
+def reference_hive_rows(q: LRQuery, n: int):
+    """The side-n hive rows built rhombus by rhombus, as ``hive_polytope``
+    did before the per-side template: the reference the template must
+    equal."""
     alpha = q.alpha.padded(n)
     beta = q.beta.padded(n)
     lam = q.lam.padded(n)
@@ -134,22 +131,21 @@ class TestHivePolytope:
             hive_polytope(q((2, 1), (2, 1), (3, 2, 1)), budgets=TIGHT)
 
     def test_explicit_side(self):
-        P4 = hive_polytope(q((1,), (1,), (2,)), side=4)
+        P4 = ParamPolytope(*_hive_rows(q((1,), (1,), (2,)), 4))
         assert count_integer_points(P4) == 1
 
 
 @st.composite
 def hive_queries(draw):
     """A size-matched triple of length at most n <= 6, lam often not
-    containing alpha, and an explicit side between its length and 6, or
-    none."""
+    containing alpha, and a side between its length and 6."""
     n = draw(st.integers(1, 6))
     a, b = (draw(st.integers(0, 7).flatmap(
         lambda s: st.sampled_from(list(partitions_of(s, max_length=n)))))
         for _ in range(2))
     lam = draw(st.sampled_from(list(partitions_of(a.size + b.size, max_length=n))))
     length = max(len(a), len(b), len(lam), 1)
-    return LRQuery(a, b, lam), draw(st.one_of(st.none(), st.integers(length, 6)))
+    return LRQuery(a, b, lam), draw(st.integers(length, 6))
 
 
 class TestHiveTemplate:

@@ -332,14 +332,17 @@ class TestFamilyReducedOnce:
 
     def test_homogeneous_box_once(self, monkeypatch):
         # rotated rows: propagation bounds nothing, so the LP bounds each
-        # coordinate, once for the whole family
+        # coordinate, once for the whole family, by one minimum and one
+        # maximum, the first of which also decides emptiness
         pp = ParamPolytope(ROTATED, (F(1, 2), F(1, 3), F(1, 2), F(1)), (F(0),) * 4)
         expected = tuple(count_integer_points(pp.at(k)) for k in range(1, 7))
         props = counting_calls(monkeypatch, "_propagated_box")
         lps = counting_calls(monkeypatch, "_coordinate_bounds")
+        simplexes = counting_calls(monkeypatch, "_simplex")
         assert ehrhart_counts(pp, 6) == expected
         assert len(props) == 1
         assert len(lps) == 2
+        assert len(simplexes) == 4
 
     def test_offset_box_per_k(self, monkeypatch):
         props = counting_calls(monkeypatch, "_propagated_box")
@@ -603,7 +606,7 @@ class TestCountAgainstReference:
     @pytest.mark.parametrize("raw", STRETCH_QUERIES)
     def test_stretch_hives(self, raw):
         q = LRQuery(*(Partition(p) for p in raw))
-        hive = _reduced_hive(q, _hive_side(q, None))
+        hive = _reduced_hive(q, _hive_side(q))
         assert hive.counts(4) == tuple(reference_count(hive, k) for k in range(1, 5))
 
     def test_pivot_two_pin(self):
@@ -723,7 +726,7 @@ class TestReductionAgainstReference:
         for alpha, beta in product(parts, parts):
             for lam in partitions_of(alpha.size + beta.size, max_length=4):
                 q = LRQuery(alpha, beta, lam)
-                A, b = _hive_rows(q, _hive_side(q, None))
+                A, b = _hive_rows(q, _hive_side(q))
                 assert_reduces_like_reference(A, b, None, 2)
 
     def test_constant_equality(self):

@@ -311,29 +311,22 @@ class TestUnitriangularBasis:
         assert hashlib.sha256(repr(mats).encode()).hexdigest() == \
             ACTION_DIGEST
 
-    def test_coordinates_keep_the_input_arithmetic(self):
-        M = weyl_module(P((2, 1)), 3)
-        X = M.coordinates_of(list(M.basis))
-        assert X == [[int(i == j) for j in range(M.dimension)]
-                     for i in range(M.dimension)]
-        assert all(type(x) is int for row in X for x in row)
-        poly = poly_sum(M.basis[0], M.basis[5].scale(F(-2, 3)))
-        Y = M.coordinates_of([poly])
-        assert [row[0] for row in Y] == [1, 0, 0, 0, 0, F(-2, 3), 0, 0]
-
-    def test_off_support_monomial_raises(self):
-        M = weyl_module(P((1, 1)), 2)
-        z11_squared = MultiPoly(4, {(2, 0, 0, 0): 1})
-        with pytest.raises(RuntimeError, match="span"):
-            M.coordinates_of([z11_squared])
-
-    def test_non_lead_monomial_raises(self):
-        M = weyl_module(P((1, 1)), 2)
-        z12_z21 = MultiPoly(4, {(0, 1, 1, 0): 1})
+    @pytest.mark.parametrize("image", [
+        MultiPoly(4, {(2, 0, 0, 0): 1}),  # z11^2: off the basis support
         # in the support of e_T = z11*z22 - z12*z21, but not its lead
-        assert set(z12_z21.terms) < set(M.basis[0].terms)
-        with pytest.raises(RuntimeError, match="span"):
-            M.coordinates_of([z12_z21])
+        MultiPoly(4, {(0, 1, 1, 0): 1}),
+    ], ids=["off-support", "non-lead"])
+    def test_image_outside_span_raises(self, monkeypatch, image):
+        M = weyl_module(P((1, 1)), 2)
+        assert group_action_matrix(M, identity(2)) == ((1,),)
+        real = weylmod._column_minor_products
+
+        def outside(n, tableaux, G=None):
+            return real(n, tableaux) if G is None else [image]
+
+        monkeypatch.setattr(weylmod, "_column_minor_products", outside)
+        with pytest.raises(ValueError, match="span"):
+            group_action_matrix(M, identity(2))
 
     def test_repeated_basis_element_raises(self, monkeypatch):
         real = weylmod._column_minor_products
